@@ -195,10 +195,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeDetail -fuzztime=15s ./internal/event/
 	$(GO) test -fuzz=FuzzDecodeNotification -fuzztime=15s ./internal/event/
 	$(GO) test -fuzz=FuzzBinaryNotification -fuzztime=15s ./internal/event/
-	$(GO) test -fuzz=FuzzBinaryDetail -fuzztime=15s ./internal/event/
+	$(GO) test -fuzz='^FuzzBinaryDetail$$' -fuzztime=15s ./internal/event/
 	$(GO) test -fuzz=FuzzBinaryDetailRequest -fuzztime=15s ./internal/event/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=15s ./internal/store/
 	$(GO) test -fuzz=FuzzShardMapFrame -fuzztime=15s ./internal/cluster/
+	$(GO) test -fuzz=FuzzReplicationFrames -fuzztime=15s ./internal/replication/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=15s ./internal/xacml/
 
 # git clean keeps the committed seed corpus and removes only the

@@ -275,6 +275,16 @@ func main() {
 			"file", *spanFile, "sample", *spanSample, "slow_tail", spanSlow.String())
 	}
 
+	if *role == "primary" && *replicateTo != "" {
+		// Every boot as primary is a new writer incarnation: mark it
+		// before the first write, provisioning included, so rejoin can
+		// match logs by epoch markers even if this restart lost an
+		// unsynced tail a follower holds.
+		if err := ctrl.MarkEpoch(*replEpoch); err != nil {
+			log.Fatalf("replication: %v", err)
+		}
+	}
+
 	if *scenario {
 		platform, err := workload.Provision(ctrl)
 		if err != nil {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/index"
 	"repro/internal/schema"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -238,6 +239,21 @@ func TestReplSmoke(t *testing.T) {
 	}
 	if st, err := sc.ReplStatus(ctx); err != nil || st.Role != "replica" || st.Epoch != winnerEpoch {
 		t.Fatalf("survivor replstatus = %+v, %v; want replica fenced at epoch %d", st, err, winnerEpoch)
+	}
+
+	// The boot-time primary marked its epoch before its first write,
+	// -scenario provisioning included: every replicated log of the
+	// deposed node opens with the epoch-1 marker at offset 0.
+	for _, name := range []string{"idmap", "index", "audit", "consent", "catalog", "policies"} {
+		st, err := store.Open(filepath.Join(dirP, name+".wal"), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := st.EpochHistory()
+		st.Close()
+		if len(h) == 0 || h[0] != (store.EpochStart{Epoch: 1, Offset: 0}) {
+			t.Fatalf("%s: deposed primary's epoch history %v, want the epoch-1 marker at offset 0", name, h)
+		}
 	}
 
 	// The deposed primary restarts as a replica on the pre-arranged

@@ -43,24 +43,23 @@ const (
 )
 
 var (
-	errCodecVarint = errors.New("cluster: shard map frame has malformed varint")
-	errCodecBomb   = errors.New("cluster: shard map frame claims more shards than payload can hold")
-	errCodecTrail  = errors.New("cluster: frame has trailing garbage")
-	errCodecShard  = errors.New("cluster: shard map frame has invalid shard id")
+	errCodecBomb  = errors.New("cluster: shard map frame claims more shards than payload can hold")
+	errCodecTrail = errors.New("cluster: frame has trailing garbage")
+	errCodecShard = errors.New("cluster: shard map frame has invalid shard id")
 )
 
 // EncodeFrame renders the map as a binary shard-map frame, sized up
 // front and filled in one allocation.
 func (m *Map) EncodeFrame() []byte {
 	size := event.FrameHeaderLen +
-		uvarintLen(m.version) +
-		uvarintLen(uint64(m.vnodes)) +
-		uvarintLen(uint64(len(m.shards)))
+		event.UvarintLen(m.version) +
+		event.UvarintLen(uint64(m.vnodes)) +
+		event.UvarintLen(uint64(len(m.shards)))
 	for _, s := range m.shards {
-		size += uvarintLen(uint64(s.ID)) + uvarintLen(uint64(len(s.Addr))) + len(s.Addr) +
-			uvarintLen(s.Epoch) + uvarintLen(uint64(len(s.Replicas)))
+		size += event.UvarintLen(uint64(s.ID)) + event.UvarintLen(uint64(len(s.Addr))) + len(s.Addr) +
+			event.UvarintLen(s.Epoch) + event.UvarintLen(uint64(len(s.Replicas)))
 		for _, r := range s.Replicas {
-			size += uvarintLen(uint64(len(r))) + len(r)
+			size += event.UvarintLen(uint64(len(r))) + len(r)
 		}
 	}
 	dst := make([]byte, 0, size)
@@ -80,15 +79,6 @@ func (m *Map) EncodeFrame() []byte {
 	return dst
 }
 
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
 // DecodeMapFrame parses a shard-map frame and rebuilds the ring. All
 // NewMap validation (non-empty, unique non-negative IDs) applies, so a
 // frame that decodes cleanly always yields a routable map.
@@ -97,24 +87,19 @@ func DecodeMapFrame(data []byte) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	version, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errCodecVarint
+	var version, vnodes, count uint64
+	if version, p, err = event.FrameUvarint(p); err != nil {
+		return nil, err
 	}
-	p = p[n:]
-	vnodes, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errCodecVarint
+	if vnodes, p, err = event.FrameUvarint(p); err != nil {
+		return nil, err
 	}
 	if vnodes == 0 || vnodes > 1<<16 {
 		return nil, errors.New("cluster: shard map frame has invalid vnode count")
 	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, errCodecVarint
+	if count, p, err = event.FrameUvarint(p); err != nil {
+		return nil, err
 	}
-	p = p[n:]
 	// Each shard entry needs at least four bytes (one-byte id varint, a
 	// zero-length addr, a zero epoch and a zero replica count), so a
 	// count beyond len(p)/4 cannot be satisfied: reject before sizing
@@ -124,28 +109,23 @@ func DecodeMapFrame(data []byte) (*Map, error) {
 	}
 	shards := make([]ShardInfo, 0, count)
 	for i := uint64(0); i < count; i++ {
-		id, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, errCodecVarint
+		var id, epoch, rcount uint64
+		var addr string
+		if id, p, err = event.FrameUvarint(p); err != nil {
+			return nil, err
 		}
 		if id > 1<<30 {
 			return nil, errCodecShard
 		}
-		p = p[n:]
-		var addr string
 		if addr, p, err = event.FrameString(p); err != nil {
 			return nil, err
 		}
-		epoch, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, errCodecVarint
+		if epoch, p, err = event.FrameUvarint(p); err != nil {
+			return nil, err
 		}
-		p = p[n:]
-		rcount, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, errCodecVarint
+		if rcount, p, err = event.FrameUvarint(p); err != nil {
+			return nil, err
 		}
-		p = p[n:]
 		// A replica entry needs at least its one-byte length varint.
 		if rcount > uint64(len(p)) {
 			return nil, errCodecBomb
@@ -170,8 +150,8 @@ func DecodeMapFrame(data []byte) (*Map, error) {
 // the store that must replay it.
 func EncodeHandoffFrame(storeName string, batchFrame []byte) []byte {
 	size := event.FrameHeaderLen +
-		uvarintLen(uint64(len(storeName))) + len(storeName) +
-		uvarintLen(uint64(len(batchFrame))) + len(batchFrame)
+		event.UvarintLen(uint64(len(storeName))) + len(storeName) +
+		event.UvarintLen(uint64(len(batchFrame))) + len(batchFrame)
 	dst := make([]byte, 0, size)
 	dst = event.AppendFrameHeader(dst, FrameHandoff)
 	dst = event.AppendFrameString(dst, storeName)
@@ -190,11 +170,10 @@ func DecodeHandoffFrame(data []byte) (storeName string, batchFrame []byte, err e
 	if storeName, p, err = event.FrameString(p); err != nil {
 		return "", nil, err
 	}
-	l, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", nil, errCodecVarint
+	var l uint64
+	if l, p, err = event.FrameUvarint(p); err != nil {
+		return "", nil, err
 	}
-	p = p[n:]
 	if l > uint64(len(p)) {
 		return "", nil, errors.New("cluster: handoff frame batch length exceeds payload")
 	}

@@ -10,7 +10,7 @@ package core
 
 import (
 	"errors"
-
+	"fmt"
 	"strings"
 
 	"repro/internal/audit"
@@ -90,6 +90,22 @@ func (c *Controller) AttachReplication(p *replication.Primary) {
 	}
 }
 
+// MarkEpoch writes an epoch marker into every replicated store
+// (store.MarkEpoch), so that rejoin can match logs by (epoch, offset)
+// alone. Each marker starts a writer incarnation: Promote marks
+// itself; a boot-time primary calls this on every boot, before
+// anything writes — scenario provisioning included — and before
+// shipping starts. An epoch below a marker already in a log is refused
+// (store.ErrStaleEpoch): that log belongs to a newer writer.
+func (c *Controller) MarkEpoch(epoch uint64) error {
+	for _, ns := range c.replStores {
+		if err := ns.Store.MarkEpoch(epoch); err != nil {
+			return fmt.Errorf("core: mark epoch %d in %s: %w", epoch, ns.Name, err)
+		}
+	}
+	return nil
+}
+
 // OnReplicatedApply returns the follower OnApply callback that keeps a
 // replica's derived in-memory state current as replicated segments
 // land: consent directives, the audit chain head, and the catalog and
@@ -116,10 +132,11 @@ func (c *Controller) OnReplicatedApply() func(storeName string) {
 
 // Promote flips a read replica into the primary role at the given
 // fencing epoch: the audit chain head and every derived in-memory view
-// are recovered from the replicated stores, then write flows are
-// accepted. The caller records the epoch in the shard map (the lease
-// claim) and wires a replication.Primary shipping at it; a deposed
-// primary still streaming at a lower epoch is fenced by the followers.
+// are recovered from the replicated stores, every replicated store is
+// marked with the epoch, then write flows are accepted. The caller
+// records the epoch in the shard map (the lease claim) and wires a
+// replication.Primary shipping at it; a deposed primary still
+// streaming at a lower epoch is fenced by the followers.
 func (c *Controller) Promote(epoch uint64) error {
 	if !c.replica.Load() {
 		return ErrNotReplica
@@ -131,6 +148,9 @@ func (c *Controller) Promote(epoch uint64) error {
 		return err
 	}
 	if err := c.reloadDerived(); err != nil {
+		return err
+	}
+	if err := c.MarkEpoch(epoch); err != nil {
 		return err
 	}
 	c.replEpoch.Store(epoch)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/replication"
 	"repro/internal/schema"
+	"repro/internal/store"
 )
 
 // replRig wires a primary controller to a replica controller over a
@@ -67,6 +68,10 @@ func newReplRig(t *testing.T, quorum bool) *replRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pri.Close() })
+	// As the boot-time primary does: mark before the first write.
+	if err := primary.MarkEpoch(1); err != nil {
+		t.Fatal(err)
+	}
 	primary.AttachReplication(pri)
 	pri.AddFollower(fol.Addr())
 	return &replRig{primary: primary, replica: replica, pri: pri, fol: fol}
@@ -272,5 +277,51 @@ func TestPromoteReplicaAcceptsWritesWithIntactChain(t *testing.T) {
 	// Promote is a one-way door.
 	if err := rig.replica.Promote(3); !errors.Is(err, ErrNotReplica) {
 		t.Fatalf("second promote = %v, want ErrNotReplica", err)
+	}
+}
+
+// TestPromoteMarksEpochBeforeFirstWrite: the boot-time primary's
+// epoch marker is the first record of every replicated store (the
+// marks ship to the replica), Promote(e) marks e in every store before
+// the first record written at e, and a stale epoch is refused.
+func TestPromoteMarksEpochBeforeFirstWrite(t *testing.T) {
+	rig := newReplRig(t, false)
+	provision(t, rig.primary)
+	publishN(t, rig.primary, 5)
+	rig.waitReplicated(t)
+	rig.pri.Close()
+	rig.primary.Close()
+
+	rs, err := rig.replica.ReplStores()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]int64, len(rs))
+	for i, ns := range rs {
+		before[i] = ns.Store.WALOffset()
+		if h := ns.Store.EpochHistory(); len(h) != 1 || h[0] != (store.EpochStart{Epoch: 1, Offset: 0}) {
+			t.Fatalf("%s: replica history %v, want the primary's epoch-1 marker at offset 0", ns.Name, h)
+		}
+	}
+	if err := rig.replica.MarkEpoch(0); !errors.Is(err, store.ErrStaleEpoch) {
+		t.Fatalf("MarkEpoch below the log's marker = %v, want ErrStaleEpoch", err)
+	}
+	if err := rig.replica.Promote(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rig.replica.Publish(&event.Notification{
+		Producer: "hospital", SourceID: "post-promote", Class: schema.ClassBloodTest,
+		PersonID: "person-99", OccurredAt: time.Now(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, ns := range rs {
+		h := ns.Store.EpochHistory()
+		if len(h) != 2 || h[1] != (store.EpochStart{Epoch: 2, Offset: before[i]}) {
+			t.Fatalf("%s: history %v, want epoch 2 marked at %d, the end of the log before promotion", ns.Name, h, before[i])
+		}
+		if ns.Name == "index" && ns.Store.WALOffset() <= before[i] {
+			t.Fatalf("index: publish at epoch 2 wrote nothing after the marker")
+		}
 	}
 }

@@ -144,8 +144,8 @@ func FrameBody(data []byte, want FrameType) ([]byte, error) {
 	return data[FrameHeaderLen:], nil
 }
 
-// uvarintLen returns the encoded size of x as an unsigned varint.
-func uvarintLen(x uint64) int {
+// UvarintLen returns the encoded size of x as an unsigned varint.
+func UvarintLen(x uint64) int {
 	n := 1
 	for x >= 0x80 {
 		x >>= 7
@@ -156,7 +156,7 @@ func uvarintLen(x uint64) int {
 
 // frameStringLen returns the encoded size of a string field.
 func frameStringLen(s string) int {
-	return uvarintLen(uint64(len(s))) + len(s)
+	return UvarintLen(uint64(len(s))) + len(s)
 }
 
 // AppendFrameString appends a length-prefixed string field.
@@ -165,15 +165,25 @@ func AppendFrameString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// FrameUvarint decodes an unsigned varint field, returning the value and
+// the remaining payload. Only the shortest encoding is accepted, so a
+// decoded frame re-encodes to the same bytes.
+func FrameUvarint(p []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(p)
+	if n <= 0 || n != UvarintLen(v) {
+		return 0, nil, errFrameVarint
+	}
+	return v, p[n:], nil
+}
+
 // FrameString decodes a length-prefixed string field, returning the value
 // and the remaining payload. The claimed length is checked against the
 // bytes actually present before the string is materialized.
 func FrameString(p []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", nil, errFrameVarint
+	l, rest, err := FrameUvarint(p)
+	if err != nil {
+		return "", nil, err
 	}
-	rest := p[n:]
 	if l > uint64(len(rest)) {
 		return "", nil, errFrameLength
 	}
@@ -186,7 +196,7 @@ func frameTimeLen(t time.Time) int {
 		return 1
 	}
 	v := t.UnixNano()
-	return 1 + uvarintLen(uint64((v<<1)^(v>>63))) // zigzag, as AppendVarint does
+	return 1 + UvarintLen(uint64((v<<1)^(v>>63))) // zigzag, as AppendVarint does
 }
 
 // AppendFrameTime appends a time field: presence byte then UnixNano.
@@ -321,7 +331,7 @@ func (binaryCodec) EncodeDetail(d *Detail) ([]byte, error) {
 		frameStringLen(string(d.SourceID)) +
 		frameStringLen(string(d.Class)) +
 		frameStringLen(string(d.Producer)) +
-		uvarintLen(uint64(len(names)))
+		UvarintLen(uint64(len(names)))
 	for _, f := range names {
 		size += frameStringLen(string(f)) + frameStringLen(d.Fields[f])
 	}

@@ -34,29 +34,35 @@
 // in the same round — a follower cut never holds an index entry without
 // its pseudonym mapping, or an audit record without its index entry.
 //
+// Rejoin: a node that starts writing (a promotion, or a boot as
+// primary) first writes an epoch marker into every replicated store's
+// WAL (store.MarkEpoch), so each log carries its own (epoch, offset)
+// history. The hello announces that history next to the offset; the
+// primary finds the newest marker both histories share, takes the
+// shorter of the two logs' spans after it as the common prefix, and
+// orders a truncate when the follower's log runs past it (a deposed
+// primary's unreplicated suffix, or a tail a restarted primary lost).
+// Negotiation reads no WAL bytes, so its cost depends on the number of
+// markers, not on the history size.
+//
 // Wire format: each message is a 4-byte little-endian length followed
 // by one binary frame using the event package's header conventions
-// (same magic/version as the PR 7 codec; the cluster layer owns frame
-// types 8-9, replication claims 10-13):
+// (same magic and version as the event wire codec; the cluster layer
+// owns frame types 8-9, replication claims 10-20):
 //
-//	hello (10):  uvarint epoch | uvarint count | count × (string store, uvarint offset, [4]crc32 of the WAL prefix)
-//	data  (11):  string store | uvarint epoch | uvarint offset | uvarint len | raw WAL records
-//	ack   (12):  string store | uvarint offset fsynced through
-//	deny  (13):  uvarint epoch the follower holds (fencing rejection)
-//
-// PR 10 adds self-healing failover frames (14-20). The hello's per-store
-// CRC lets the primary spot a diverged rejoiner (a deposed primary whose
-// log carries an unreplicated old-epoch suffix) in one round trip; the
-// digest frames then walk the log record by record to the first
-// divergence, and truncate cuts the rejoiner back to the common prefix:
-//
+//	hello     (10): uvarint epoch | uvarint count | count × (string store, uvarint offset,
+//	                uvarint markers, markers × (uvarint epoch, uvarint offset))
+//	data      (11): string store | uvarint epoch | uvarint offset | uvarint len | raw WAL records
+//	ack       (12): string store | uvarint offset fsynced through
+//	deny      (13): uvarint epoch the follower holds (fencing rejection)
 //	heartbeat (14): uvarint epoch — primary liveness, feeds the failure detector
 //	campaign  (15): uvarint epoch | uvarint count | count × (string store, uvarint offset) — candidate's claim + cursors
 //	grant     (16): uvarint granted (0|1) | uvarint epoch the voter now holds
-//	digestreq (17): string store | uvarint from | uvarint max
-//	digests   (18): string store | uvarint done (0|1) | uvarint count | count × (uvarint end, [4]crc32 of the record)
 //	truncate  (19): string store | uvarint offset — cut the log back to offset (acked)
 //	syncstart (20): (empty) — negotiation over; follower certifies its prefix and the data stream begins
+//
+// Types 17 and 18 carried a per-record digest walk that the epoch
+// markers replaced; they are retired and never reused.
 package replication
 
 import (
@@ -65,8 +71,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/event"
+	"repro/internal/store"
 )
 
 // Frame types claimed by the replication layer (event owns 1-7,
@@ -88,11 +96,8 @@ const (
 	// FrameGrant answers a campaign: granted or not, and the epoch the
 	// voter holds after deciding.
 	FrameGrant = event.FrameType(16)
-	// FrameDigestReq asks a rejoining follower for per-record WAL
-	// digests starting at an offset.
-	FrameDigestReq = event.FrameType(17)
-	// FrameDigests carries a batch of per-record WAL digests.
-	FrameDigests = event.FrameType(18)
+	// 17 and 18 are retired (the old digest walk); never reuse them.
+
 	// FrameTruncate orders a rejoining follower to cut a store's WAL
 	// back to the common prefix.
 	FrameTruncate = event.FrameType(19)
@@ -106,9 +111,9 @@ const (
 const maxMessage = 64 << 20
 
 var (
-	errCodecVarint = errors.New("replication: frame has malformed varint")
-	errCodecTrail  = errors.New("replication: frame has trailing garbage")
-	errCodecBomb   = errors.New("replication: frame claims more than the payload holds")
+	errCodecTrail = errors.New("replication: frame has trailing garbage")
+	errCodecBomb  = errors.New("replication: frame claims more than the payload holds")
+	errCodecRange = errors.New("replication: frame offset out of range")
 )
 
 // writeMsg frames and writes one message: 4-byte LE length + frame.
@@ -149,28 +154,51 @@ func frameKind(msg []byte) event.FrameType {
 }
 
 // storeOffset is one (store, byte offset) cursor in a hello or campaign
-// frame. In a hello, crc is the CRC-32 of the follower's whole WAL
-// prefix [0, offset) — the primary's one-round-trip divergence check;
-// campaigns carry offsets only (crc is zero and unused).
+// frame. In a hello, history is the store's epoch markers — everything
+// the primary needs to find the common prefix; campaigns carry offsets
+// only (history is nil).
 type storeOffset struct {
-	name   string
-	offset int64
-	crc    uint32
+	name    string
+	offset  int64
+	history []store.EpochStart
 }
 
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
+// frameOffset decodes a byte offset, rejecting values past int64.
+func frameOffset(p []byte) (int64, []byte, error) {
+	v, p, err := event.FrameUvarint(p)
+	if err == nil && v > math.MaxInt64 {
+		err = errCodecRange
 	}
-	return n
+	return int64(v), p, err
+}
+
+// frameCount decodes a list length and rejects it before anything is
+// allocated when the rest of the payload cannot hold that many entries
+// of at least minEntry bytes each.
+func frameCount(p []byte, minEntry int) (uint64, []byte, error) {
+	n, p, err := event.FrameUvarint(p)
+	if err == nil && n > uint64(len(p)/minEntry) {
+		err = errCodecBomb
+	}
+	return n, p, err
+}
+
+// frameEnd rejects trailing bytes after a decoded frame.
+func frameEnd(p []byte) error {
+	if len(p) != 0 {
+		return errCodecTrail
+	}
+	return nil
 }
 
 func encodeHello(epoch uint64, offsets []storeOffset) []byte {
-	size := event.FrameHeaderLen + uvarintLen(epoch) + uvarintLen(uint64(len(offsets)))
+	size := event.FrameHeaderLen + event.UvarintLen(epoch) + event.UvarintLen(uint64(len(offsets)))
 	for _, o := range offsets {
-		size += uvarintLen(uint64(len(o.name))) + len(o.name) + uvarintLen(uint64(o.offset)) + 4
+		size += event.UvarintLen(uint64(len(o.name))) + len(o.name) + event.UvarintLen(uint64(o.offset)) +
+			event.UvarintLen(uint64(len(o.history)))
+		for _, h := range o.history {
+			size += event.UvarintLen(h.Epoch) + event.UvarintLen(uint64(h.Offset))
+		}
 	}
 	dst := make([]byte, 0, size)
 	dst = event.AppendFrameHeader(dst, FrameHello)
@@ -179,7 +207,11 @@ func encodeHello(epoch uint64, offsets []storeOffset) []byte {
 	for _, o := range offsets {
 		dst = event.AppendFrameString(dst, o.name)
 		dst = binary.AppendUvarint(dst, uint64(o.offset))
-		dst = binary.LittleEndian.AppendUint32(dst, o.crc)
+		dst = binary.AppendUvarint(dst, uint64(len(o.history)))
+		for _, h := range o.history {
+			dst = binary.AppendUvarint(dst, h.Epoch)
+			dst = binary.AppendUvarint(dst, uint64(h.Offset))
+		}
 	}
 	return dst
 }
@@ -189,160 +221,150 @@ func decodeHello(data []byte) (epoch uint64, offsets []storeOffset, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
+	if epoch, p, err = event.FrameUvarint(p); err != nil {
+		return 0, nil, err
 	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
-	}
-	p = p[n:]
-	// Each entry needs at least a one-byte name length and a one-byte
-	// offset varint.
-	if count > uint64(len(p))/2 {
-		return 0, nil, errCodecBomb
+	// Each entry needs at least a one-byte name length, offset and
+	// marker count; each marker a one-byte epoch and offset.
+	var count uint64
+	if count, p, err = frameCount(p, 3); err != nil {
+		return 0, nil, err
 	}
 	offsets = make([]storeOffset, 0, count)
 	for i := uint64(0); i < count; i++ {
-		var name string
-		if name, p, err = event.FrameString(p); err != nil {
+		var o storeOffset
+		var markers uint64
+		if o.name, p, err = event.FrameString(p); err != nil {
 			return 0, nil, err
 		}
-		off, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, nil, errCodecVarint
+		if o.offset, p, err = frameOffset(p); err != nil {
+			return 0, nil, err
 		}
-		p = p[n:]
-		if len(p) < 4 {
-			return 0, nil, errCodecBomb
+		if markers, p, err = frameCount(p, 2); err != nil {
+			return 0, nil, err
 		}
-		crc := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		offsets = append(offsets, storeOffset{name: name, offset: int64(off), crc: crc})
+		o.history = make([]store.EpochStart, markers)
+		for j := range o.history {
+			h := &o.history[j]
+			if h.Epoch, p, err = event.FrameUvarint(p); err != nil {
+				return 0, nil, err
+			}
+			if h.Offset, p, err = frameOffset(p); err != nil {
+				return 0, nil, err
+			}
+		}
+		offsets = append(offsets, o)
 	}
-	if len(p) != 0 {
-		return 0, nil, errCodecTrail
-	}
-	return epoch, offsets, nil
+	return epoch, offsets, frameEnd(p)
 }
 
-func encodeData(store string, epoch uint64, offset int64, seg []byte) []byte {
+func encodeData(storeName string, epoch uint64, offset int64, seg []byte) []byte {
 	size := event.FrameHeaderLen +
-		uvarintLen(uint64(len(store))) + len(store) +
-		uvarintLen(epoch) + uvarintLen(uint64(offset)) +
-		uvarintLen(uint64(len(seg))) + len(seg)
+		event.UvarintLen(uint64(len(storeName))) + len(storeName) +
+		event.UvarintLen(epoch) + event.UvarintLen(uint64(offset)) +
+		event.UvarintLen(uint64(len(seg))) + len(seg)
 	dst := make([]byte, 0, size)
 	dst = event.AppendFrameHeader(dst, FrameData)
-	dst = event.AppendFrameString(dst, store)
+	dst = event.AppendFrameString(dst, storeName)
 	dst = binary.AppendUvarint(dst, epoch)
 	dst = binary.AppendUvarint(dst, uint64(offset))
 	dst = binary.AppendUvarint(dst, uint64(len(seg)))
 	return append(dst, seg...)
 }
 
-func decodeData(data []byte) (store string, epoch uint64, offset int64, seg []byte, err error) {
+func decodeData(data []byte) (storeName string, epoch uint64, offset int64, seg []byte, err error) {
 	p, err := event.FrameBody(data, FrameData)
 	if err != nil {
 		return "", 0, 0, nil, err
 	}
-	if store, p, err = event.FrameString(p); err != nil {
+	var l uint64
+	if storeName, p, err = event.FrameString(p); err != nil {
 		return "", 0, 0, nil, err
 	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, nil, errCodecVarint
+	if epoch, p, err = event.FrameUvarint(p); err != nil {
+		return "", 0, 0, nil, err
 	}
-	p = p[n:]
-	off, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, nil, errCodecVarint
+	if offset, p, err = frameOffset(p); err != nil {
+		return "", 0, 0, nil, err
 	}
-	p = p[n:]
-	l, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, nil, errCodecVarint
+	if l, p, err = event.FrameUvarint(p); err != nil {
+		return "", 0, 0, nil, err
 	}
-	p = p[n:]
 	if l != uint64(len(p)) {
 		return "", 0, 0, nil, errCodecBomb
 	}
-	return store, epoch, int64(off), p, nil
+	return storeName, epoch, offset, p, nil
 }
 
-func encodeAck(store string, offset int64) []byte {
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) + uvarintLen(uint64(offset))
+// encodeStoreOffset renders the (string store, uvarint offset) body
+// shared by ack and truncate frames.
+func encodeStoreOffset(t event.FrameType, storeName string, offset int64) []byte {
+	size := event.FrameHeaderLen + event.UvarintLen(uint64(len(storeName))) + len(storeName) + event.UvarintLen(uint64(offset))
 	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameAck)
-	dst = event.AppendFrameString(dst, store)
+	dst = event.AppendFrameHeader(dst, t)
+	dst = event.AppendFrameString(dst, storeName)
 	return binary.AppendUvarint(dst, uint64(offset))
 }
 
-func decodeAck(data []byte) (store string, offset int64, err error) {
-	p, err := event.FrameBody(data, FrameAck)
+func decodeStoreOffset(data []byte, t event.FrameType) (storeName string, offset int64, err error) {
+	p, err := event.FrameBody(data, t)
 	if err != nil {
 		return "", 0, err
 	}
-	if store, p, err = event.FrameString(p); err != nil {
+	if storeName, p, err = event.FrameString(p); err != nil {
 		return "", 0, err
 	}
-	off, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, errCodecVarint
+	if offset, p, err = frameOffset(p); err != nil {
+		return "", 0, err
 	}
-	if len(p[n:]) != 0 {
-		return "", 0, errCodecTrail
-	}
-	return store, int64(off), nil
+	return storeName, offset, frameEnd(p)
 }
 
-func encodeDeny(epoch uint64) []byte {
-	dst := make([]byte, 0, event.FrameHeaderLen+uvarintLen(epoch))
-	dst = event.AppendFrameHeader(dst, FrameDeny)
+func encodeAck(storeName string, offset int64) []byte {
+	return encodeStoreOffset(FrameAck, storeName, offset)
+}
+
+func decodeAck(data []byte) (string, int64, error) { return decodeStoreOffset(data, FrameAck) }
+
+func encodeTruncate(storeName string, offset int64) []byte {
+	return encodeStoreOffset(FrameTruncate, storeName, offset)
+}
+
+func decodeTruncate(data []byte) (string, int64, error) {
+	return decodeStoreOffset(data, FrameTruncate)
+}
+
+// encodeEpochFrame renders the single-uvarint-epoch body shared by deny
+// and heartbeat frames.
+func encodeEpochFrame(t event.FrameType, epoch uint64) []byte {
+	dst := make([]byte, 0, event.FrameHeaderLen+event.UvarintLen(epoch))
+	dst = event.AppendFrameHeader(dst, t)
 	return binary.AppendUvarint(dst, epoch)
 }
 
-func decodeDeny(data []byte) (epoch uint64, err error) {
-	p, err := event.FrameBody(data, FrameDeny)
+func decodeEpochFrame(data []byte, t event.FrameType) (epoch uint64, err error) {
+	p, err := event.FrameBody(data, t)
 	if err != nil {
 		return 0, err
 	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return 0, errCodecTrail
-	}
-	return epoch, nil
-}
-
-func encodeHeartbeat(epoch uint64) []byte {
-	dst := make([]byte, 0, event.FrameHeaderLen+uvarintLen(epoch))
-	dst = event.AppendFrameHeader(dst, FrameHeartbeat)
-	return binary.AppendUvarint(dst, epoch)
-}
-
-func decodeHeartbeat(data []byte) (epoch uint64, err error) {
-	p, err := event.FrameBody(data, FrameHeartbeat)
-	if err != nil {
+	if epoch, p, err = event.FrameUvarint(p); err != nil {
 		return 0, err
 	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return 0, errCodecTrail
-	}
-	return epoch, nil
+	return epoch, frameEnd(p)
 }
+
+func encodeDeny(epoch uint64) []byte { return encodeEpochFrame(FrameDeny, epoch) }
+
+func decodeDeny(data []byte) (uint64, error) { return decodeEpochFrame(data, FrameDeny) }
+
+func encodeHeartbeat(epoch uint64) []byte { return encodeEpochFrame(FrameHeartbeat, epoch) }
+
+func decodeHeartbeat(data []byte) (uint64, error) { return decodeEpochFrame(data, FrameHeartbeat) }
 
 func encodeCampaign(epoch uint64, offsets []storeOffset) []byte {
-	size := event.FrameHeaderLen + uvarintLen(epoch) + uvarintLen(uint64(len(offsets)))
+	size := event.FrameHeaderLen + event.UvarintLen(epoch) + event.UvarintLen(uint64(len(offsets)))
 	for _, o := range offsets {
-		size += uvarintLen(uint64(len(o.name))) + len(o.name) + uvarintLen(uint64(o.offset))
+		size += event.UvarintLen(uint64(len(o.name))) + len(o.name) + event.UvarintLen(uint64(o.offset))
 	}
 	dst := make([]byte, 0, size)
 	dst = event.AppendFrameHeader(dst, FrameCampaign)
@@ -360,36 +382,25 @@ func decodeCampaign(data []byte) (epoch uint64, offsets []storeOffset, err error
 	if err != nil {
 		return 0, nil, err
 	}
-	epoch, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
+	if epoch, p, err = event.FrameUvarint(p); err != nil {
+		return 0, nil, err
 	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errCodecVarint
+	// Each entry needs at least a one-byte name length and offset.
+	var count uint64
+	if count, p, err = frameCount(p, 2); err != nil {
+		return 0, nil, err
 	}
-	p = p[n:]
-	if count > uint64(len(p))/2 {
-		return 0, nil, errCodecBomb
-	}
-	offsets = make([]storeOffset, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var name string
-		if name, p, err = event.FrameString(p); err != nil {
+	offsets = make([]storeOffset, count)
+	for i := range offsets {
+		o := &offsets[i]
+		if o.name, p, err = event.FrameString(p); err != nil {
 			return 0, nil, err
 		}
-		off, n := binary.Uvarint(p)
-		if n <= 0 {
-			return 0, nil, errCodecVarint
+		if o.offset, p, err = frameOffset(p); err != nil {
+			return 0, nil, err
 		}
-		p = p[n:]
-		offsets = append(offsets, storeOffset{name: name, offset: int64(off)})
 	}
-	if len(p) != 0 {
-		return 0, nil, errCodecTrail
-	}
-	return epoch, offsets, nil
+	return epoch, offsets, frameEnd(p)
 }
 
 func encodeGrant(granted bool, epoch uint64) []byte {
@@ -397,7 +408,7 @@ func encodeGrant(granted bool, epoch uint64) []byte {
 	if granted {
 		g = 1
 	}
-	dst := make([]byte, 0, event.FrameHeaderLen+1+uvarintLen(epoch))
+	dst := make([]byte, 0, event.FrameHeaderLen+1+event.UvarintLen(epoch))
 	dst = event.AppendFrameHeader(dst, FrameGrant)
 	dst = binary.AppendUvarint(dst, g)
 	return binary.AppendUvarint(dst, epoch)
@@ -408,149 +419,17 @@ func decodeGrant(data []byte) (granted bool, epoch uint64, err error) {
 	if err != nil {
 		return false, 0, err
 	}
-	g, n := binary.Uvarint(p)
-	if n <= 0 {
-		return false, 0, errCodecVarint
+	var g uint64
+	if g, p, err = event.FrameUvarint(p); err != nil {
+		return false, 0, err
 	}
-	p = p[n:]
-	epoch, n = binary.Uvarint(p)
-	if n <= 0 {
-		return false, 0, errCodecVarint
+	if g > 1 {
+		return false, 0, errCodecRange
 	}
-	if len(p[n:]) != 0 {
-		return false, 0, errCodecTrail
+	if epoch, p, err = event.FrameUvarint(p); err != nil {
+		return false, 0, err
 	}
-	return g == 1, epoch, nil
-}
-
-func encodeDigestReq(store string, from int64, max int) []byte {
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) +
-		uvarintLen(uint64(from)) + uvarintLen(uint64(max))
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameDigestReq)
-	dst = event.AppendFrameString(dst, store)
-	dst = binary.AppendUvarint(dst, uint64(from))
-	return binary.AppendUvarint(dst, uint64(max))
-}
-
-func decodeDigestReq(data []byte) (store string, from int64, max int, err error) {
-	p, err := event.FrameBody(data, FrameDigestReq)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", 0, 0, err
-	}
-	f, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, errCodecVarint
-	}
-	p = p[n:]
-	m, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return "", 0, 0, errCodecTrail
-	}
-	return store, int64(f), int(m), nil
-}
-
-// recordDigest mirrors store.WALRecordDigest on the wire: the byte
-// offset just past one record and the CRC-32 of its framed bytes.
-type recordDigest struct {
-	end int64
-	crc uint32
-}
-
-func encodeDigests(store string, done bool, ds []recordDigest) []byte {
-	d := uint64(0)
-	if done {
-		d = 1
-	}
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) +
-		1 + uvarintLen(uint64(len(ds)))
-	for _, r := range ds {
-		size += uvarintLen(uint64(r.end)) + 4
-	}
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameDigests)
-	dst = event.AppendFrameString(dst, store)
-	dst = binary.AppendUvarint(dst, d)
-	dst = binary.AppendUvarint(dst, uint64(len(ds)))
-	for _, r := range ds {
-		dst = binary.AppendUvarint(dst, uint64(r.end))
-		dst = binary.LittleEndian.AppendUint32(dst, r.crc)
-	}
-	return dst
-}
-
-func decodeDigests(data []byte) (store string, done bool, ds []recordDigest, err error) {
-	p, err := event.FrameBody(data, FrameDigests)
-	if err != nil {
-		return "", false, nil, err
-	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", false, nil, err
-	}
-	d, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", false, nil, errCodecVarint
-	}
-	p = p[n:]
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", false, nil, errCodecVarint
-	}
-	p = p[n:]
-	// Each entry needs at least a one-byte end varint and a 4-byte CRC.
-	if count > uint64(len(p))/5 {
-		return "", false, nil, errCodecBomb
-	}
-	ds = make([]recordDigest, 0, count)
-	for i := uint64(0); i < count; i++ {
-		end, n := binary.Uvarint(p)
-		if n <= 0 {
-			return "", false, nil, errCodecVarint
-		}
-		p = p[n:]
-		if len(p) < 4 {
-			return "", false, nil, errCodecBomb
-		}
-		crc := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		ds = append(ds, recordDigest{end: int64(end), crc: crc})
-	}
-	if len(p) != 0 {
-		return "", false, nil, errCodecTrail
-	}
-	return store, d == 1, ds, nil
-}
-
-func encodeTruncate(store string, offset int64) []byte {
-	size := event.FrameHeaderLen + uvarintLen(uint64(len(store))) + len(store) + uvarintLen(uint64(offset))
-	dst := make([]byte, 0, size)
-	dst = event.AppendFrameHeader(dst, FrameTruncate)
-	dst = event.AppendFrameString(dst, store)
-	return binary.AppendUvarint(dst, uint64(offset))
-}
-
-func decodeTruncate(data []byte) (store string, offset int64, err error) {
-	p, err := event.FrameBody(data, FrameTruncate)
-	if err != nil {
-		return "", 0, err
-	}
-	if store, p, err = event.FrameString(p); err != nil {
-		return "", 0, err
-	}
-	off, n := binary.Uvarint(p)
-	if n <= 0 {
-		return "", 0, errCodecVarint
-	}
-	if len(p[n:]) != 0 {
-		return "", 0, errCodecTrail
-	}
-	return store, int64(off), nil
+	return g == 1, epoch, frameEnd(p)
 }
 
 func encodeSyncStart() []byte {
@@ -562,8 +441,5 @@ func decodeSyncStart(data []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(p) != 0 {
-		return errCodecTrail
-	}
-	return nil
+	return frameEnd(p)
 }

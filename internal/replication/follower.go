@@ -203,23 +203,15 @@ func (f *Follower) checkEpoch(conn net.Conn, epoch uint64) error {
 }
 
 // handleConn serves one primary (or candidate) connection: announce
-// cursors with prefix CRCs, then dispatch frames. A healthy primary
+// cursors with epoch histories, then dispatch frames. A healthy primary
 // sends sync-start and streams data; a primary that found this node's
-// log diverged (a rejoining deposed primary) first walks the digest
-// exchange and orders a truncate; a candidate sends one campaign frame
-// and reads the grant.
+// log ran past the common prefix (a rejoining deposed primary) first
+// orders a truncate; a candidate sends one campaign frame and reads the
+// grant.
 func (f *Follower) handleConn(conn net.Conn) error {
 	offsets := make([]storeOffset, len(f.cfg.Stores))
 	for i, ns := range f.cfg.Stores {
-		off := ns.Store.WALOffset()
-		var crc uint32
-		if off > 0 {
-			var err error
-			if crc, err = ns.Store.CRCWAL(ns.Store.WALGen(), 0, off); err != nil {
-				return fmt.Errorf("hello crc %s: %w", ns.Name, err)
-			}
-		}
-		offsets[i] = storeOffset{name: ns.Name, offset: off, crc: crc}
+		offsets[i] = storeOffset{name: ns.Name, offset: ns.Store.WALOffset(), history: ns.Store.EpochHistory()}
 	}
 	if err := writeMsg(conn, encodeHello(f.epoch.Load(), offsets)); err != nil {
 		return fmt.Errorf("hello: %w", err)
@@ -228,6 +220,21 @@ func (f *Follower) handleConn(conn net.Conn) error {
 	br := bufio.NewReader(conn)
 	touched := make(map[int]struct{})
 	for {
+		// Batch the fsync+ack over every frame already buffered (under a
+		// storm one fsync covers many segments), and flush once the
+		// buffer drains, whatever frame came last.
+		if len(touched) > 0 && br.Buffered() == 0 {
+			for i := range touched {
+				ns := f.cfg.Stores[i]
+				if err := ns.Store.SyncWAL(); err != nil {
+					return err
+				}
+				if err := writeMsg(conn, encodeAck(ns.Name, ns.Store.WALOffset())); err != nil {
+					return err
+				}
+			}
+			clear(touched)
+		}
 		msg, err := readMsg(br)
 		if err != nil {
 			return err
@@ -237,17 +244,12 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			if err := decodeSyncStart(msg); err != nil {
 				return err
 			}
-			// Certify the (possibly truncated) prefix: fsync everything
-			// and ack every store once, so quorum accounting on the
-			// primary starts from the true durable state instead of
-			// waiting for each store's next write.
-			for _, ns := range f.cfg.Stores {
-				if err := ns.Store.SyncWAL(); err != nil {
-					return err
-				}
-				if err := writeMsg(conn, encodeAck(ns.Name, ns.Store.WALOffset())); err != nil {
-					return err
-				}
+			// Certify the (possibly truncated) prefix: fsync and ack every
+			// store once, so quorum accounting on the primary starts from
+			// the true durable state instead of waiting for each store's
+			// next write.
+			for i := range f.cfg.Stores {
+				touched[i] = struct{}{}
 			}
 
 		case FrameHeartbeat:
@@ -267,33 +269,6 @@ func (f *Follower) handleConn(conn net.Conn) error {
 			}
 			granted := f.decideVote(epoch, theirs)
 			if err := writeMsg(conn, encodeGrant(granted, f.epoch.Load())); err != nil {
-				return err
-			}
-
-		case FrameDigestReq:
-			name, from, max, err := decodeDigestReq(msg)
-			if err != nil {
-				return err
-			}
-			st := f.storeNamed(name)
-			if st == nil {
-				return fmt.Errorf("digest request for unknown store %q", name)
-			}
-			if max <= 0 || max > 4096 {
-				max = 4096
-			}
-			ds, err := st.DigestWAL(st.WALGen(), from, max)
-			if err != nil {
-				return fmt.Errorf("digest %s from %d: %w", name, from, err)
-			}
-			wire := make([]recordDigest, len(ds))
-			end := from
-			for i, d := range ds {
-				wire[i] = recordDigest{end: d.End, crc: d.CRC}
-				end = d.End
-			}
-			done := len(ds) < max || end >= st.WALOffset()
-			if err := writeMsg(conn, encodeDigests(name, done, wire)); err != nil {
 				return err
 			}
 
@@ -349,21 +324,6 @@ func (f *Follower) handleConn(conn net.Conn) error {
 				f.cfg.OnApply(name)
 			}
 			touched[idx] = struct{}{}
-			// Batch the fsync+ack over every frame already buffered: under
-			// a storm one fsync covers many segments (group commit shape).
-			if br.Buffered() > 0 {
-				continue
-			}
-			for i := range touched {
-				ns := f.cfg.Stores[i]
-				if err := ns.Store.SyncWAL(); err != nil {
-					return err
-				}
-				if err := writeMsg(conn, encodeAck(ns.Name, ns.Store.WALOffset())); err != nil {
-					return err
-				}
-			}
-			clear(touched)
 
 		default:
 			return fmt.Errorf("unexpected frame type %d", frameKind(msg))

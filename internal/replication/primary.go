@@ -228,7 +228,7 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	for i, ns := range p.cfg.Stores {
 		gens[i] = ns.Store.WALGen()
 	}
-	cursors, err := p.negotiate(link, conn, br, gens, offsets)
+	cursors, err := p.negotiate(link, conn, br, offsets)
 	if err != nil {
 		return err
 	}
@@ -338,19 +338,15 @@ func (p *Primary) serve(link *followerLink, conn net.Conn) error {
 	}
 }
 
-// digestBatch bounds one digest request during rejoin negotiation.
-const digestBatch = 1024
-
 // negotiate derives the shipping resume point for every store from the
-// follower's hello. The fast path is one CRC comparison: when the
-// follower's whole-prefix CRC matches the same range of our log, its
-// log is a clean prefix and shipping resumes at its offset. Otherwise
-// the follower is a rejoining deposed primary whose log carries an
-// unreplicated old-epoch suffix: walk its per-record digests against
-// our own to the first divergent record — exactly the comparison
-// `css-audit -compare` runs over audit chains — and order a truncate
-// back to the common prefix before shipping.
-func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader, gens []uint64, offsets []storeOffset) ([]int64, error) {
+// follower's hello by log matching on epoch markers: both logs are a
+// common prefix of one history through the newest marker they share, up
+// to the shorter of their spans after it. When the follower's log
+// runs past that point it is a rejoining deposed primary (or a replica
+// of one) holding an unreplicated suffix, and a truncate back to the
+// common prefix is ordered before shipping. Only in-memory cursors and
+// histories are compared; no WAL bytes are read.
+func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader, offsets []storeOffset) ([]int64, error) {
 	cursors := make([]int64, len(p.cfg.Stores))
 	for i, ns := range p.cfg.Stores {
 		var theirs storeOffset
@@ -363,20 +359,13 @@ func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader,
 		if theirs.offset == 0 {
 			continue // empty follower log: ship from the start
 		}
-		ourOff := ns.Store.WALOffset()
-		if theirs.offset <= ourOff {
-			ourCRC, err := ns.Store.CRCWAL(gens[i], 0, theirs.offset)
-			if err != nil {
-				return nil, fmt.Errorf("crc %s: %w", ns.Name, err)
-			}
-			if ourCRC == theirs.crc {
-				cursors[i] = theirs.offset
-				continue
-			}
-		}
-		common, err := p.firstDivergence(conn, br, ns, gens[i], min64(theirs.offset, ourOff))
+		// Offset before history: a marker appended in between starts at
+		// or after ourEnd, so the captured span never includes bytes of
+		// an epoch the history omits.
+		ourEnd := ns.Store.WALOffset()
+		common, err := commonPrefix(ns.Store.EpochHistory(), ourEnd, theirs.history, theirs.offset)
 		if err != nil {
-			return nil, fmt.Errorf("digest walk %s: %w", ns.Name, err)
+			return nil, fmt.Errorf("rejoin %s: %w", ns.Name, err)
 		}
 		if common < theirs.offset {
 			p.logf("repl: follower %s diverged on %s at %d (its log ends at %d): ordering truncate",
@@ -397,46 +386,46 @@ func (p *Primary) negotiate(link *followerLink, conn net.Conn, br *bufio.Reader,
 	return cursors, nil
 }
 
-// firstDivergence walks the follower's per-record digests against our
-// own log and returns the end offset of the last record both sides
-// agree on (the truncation point), never past limit.
-func (p *Primary) firstDivergence(conn net.Conn, br *bufio.Reader, ns NamedStore, gen uint64, limit int64) (int64, error) {
-	var common int64
-	pos := int64(0)
-	for pos < limit {
-		if err := writeMsg(conn, encodeDigestReq(ns.Name, pos, digestBatch)); err != nil {
-			return 0, err
+// commonPrefix returns how many leading bytes two logs share, from their
+// epoch histories and ends alone. Each marker starts one writer
+// incarnation (a promotion, or a boot as primary, at a possibly
+// repeated epoch), and a marker at the same (epoch, offset) in both
+// logs certifies every byte before it. The newest shared marker is the
+// last of the two histories' common leading entries (the implicit
+// epoch 0 at offset 0 when there is none), and the common prefix is the
+// shorter of the two logs' spans after it, where a span ends at the
+// next marker or at the log end: both spans are prefixes of that one
+// incarnation's stream, which only grows. One writer per epoch makes
+// the incarnations of an epoch a single chain, so both logs holding an
+// epoch past their shared markers means they do not descend from one
+// history: that is an error, never a guess.
+func commonPrefix(ours []store.EpochStart, ourEnd int64, theirs []store.EpochStart, theirEnd int64) (int64, error) {
+	next := int64(0) // a marker is a record: offsets strictly increase
+	for _, h := range theirs {
+		if h.Offset < next || h.Offset > theirEnd {
+			return 0, fmt.Errorf("malformed epoch history %v for a log ending at %d", theirs, theirEnd)
 		}
-		msg, err := readMsg(br)
-		if err != nil {
-			return 0, err
-		}
-		name, done, theirs, err := decodeDigests(msg)
-		if err != nil {
-			return 0, err
-		}
-		if name != ns.Name {
-			return 0, fmt.Errorf("digests for %q while walking %q", name, ns.Name)
-		}
-		if len(theirs) == 0 {
-			return common, nil
-		}
-		ours, err := ns.Store.DigestWAL(gen, pos, len(theirs))
-		if err != nil {
-			return 0, err
-		}
-		for j := range theirs {
-			if j >= len(ours) || theirs[j].end != ours[j].End || theirs[j].crc != ours[j].CRC {
-				return common, nil
+		next = h.Offset + 1
+	}
+	k := 0
+	for k < len(ours) && k < len(theirs) && ours[k] == theirs[k] {
+		k++
+	}
+	for _, o := range ours[k:] {
+		for _, h := range theirs[k:] {
+			if h.Epoch == o.Epoch {
+				return 0, fmt.Errorf("epoch %d starts at %d here but at %d on the follower: logs do not match",
+					h.Epoch, o.Offset, h.Offset)
 			}
-			common = ours[j].End
-		}
-		pos = common
-		if done {
-			return common, nil
 		}
 	}
-	return common, nil
+	spanEnd := func(h []store.EpochStart, end int64) int64 {
+		if k < len(h) {
+			return h[k].Offset
+		}
+		return end
+	}
+	return min(spanEnd(ours, ourEnd), spanEnd(theirs, theirEnd)), nil
 }
 
 // readAck reads one frame and expects it to be an ack — the truncate
@@ -455,13 +444,6 @@ func (p *Primary) readAck(br *bufio.Reader) (string, int64, error) {
 		return "", 0, err
 	}
 	return name, offset, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // readAcks folds the follower's ack stream into the link state until

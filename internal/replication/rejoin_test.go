@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -10,14 +11,25 @@ import (
 	"time"
 )
 
-// walCRC is the whole-log CRC of one store — byte-identity witness.
-func walCRC(t *testing.T, ns NamedStore) uint32 {
+// walBytes reads one store's whole log — the byte-identity witness.
+func walBytes(t *testing.T, ns NamedStore) []byte {
 	t.Helper()
-	crc, err := ns.Store.CRCWAL(ns.Store.WALGen(), 0, ns.Store.WALOffset())
+	b, err := ns.Store.ReadWAL(ns.Store.WALGen(), 0, 1<<30)
 	if err != nil {
-		t.Fatalf("%s crc: %v", ns.Name, err)
+		t.Fatalf("%s wal: %v", ns.Name, err)
 	}
-	return crc
+	return b
+}
+
+// markAll writes an epoch marker into every store, as a node that
+// starts writing at that epoch does.
+func markAll(t *testing.T, ns []NamedStore, epoch uint64) {
+	t.Helper()
+	for _, s := range ns {
+		if err := s.Store.MarkEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestRejoinTruncatesDivergedPrimary is the deposed-primary round trip:
@@ -39,6 +51,7 @@ func TestRejoinTruncatesDivergedPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	markAll(t, ps, 1)
 	pri.AddFollower(fol.Addr())
 	for i := 0; i < 10; i++ {
 		ps[0].Store.Put(fmt.Sprintf("id-%03d", i), []byte("shared"))
@@ -60,6 +73,7 @@ func TestRejoinTruncatesDivergedPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer newPri.Close()
+	markAll(t, fs, 2)
 	fs[0].Store.Put("post-failover", []byte("new-history"))
 	fs[2].Store.Put("post-failover-audit", []byte("new-history"))
 
@@ -74,8 +88,8 @@ func TestRejoinTruncatesDivergedPrimary(t *testing.T) {
 
 	waitCaughtUp(t, fs, ps, 5*time.Second)
 	for i := range fs {
-		if got, want := walCRC(t, ps[i]), walCRC(t, fs[i]); got != want {
-			t.Fatalf("%s logs differ after rejoin: %08x vs %08x", fs[i].Name, got, want)
+		if !bytes.Equal(walBytes(t, ps[i]), walBytes(t, fs[i])) {
+			t.Fatalf("%s logs differ after rejoin", fs[i].Name)
 		}
 	}
 	if _, ok := get(t, ps, "idmap", "rogue-id"); ok {

@@ -134,6 +134,43 @@ func TestShipAndCatchUp(t *testing.T) {
 }
 
 func TestQuorumBarrier(t *testing.T) {
+	// With heartbeats on, a heartbeat often lands in the same read as the
+	// data frame before it; the follower must still ack that data at once
+	// instead of holding it until the next data frame, which a publish
+	// waiting in the barrier never sends.
+	t.Run("heartbeats do not defer acks", func(t *testing.T) {
+		dir := t.TempDir()
+		ps := openStores(t, filepath.Join(dir, "p"))
+		fs := openStores(t, filepath.Join(dir, "f"))
+		fol, err := NewFollower("127.0.0.1:0", FollowerConfig{Stores: fs, Epoch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fol.Close()
+		pri, err := NewPrimary(PrimaryConfig{Stores: ps, Epoch: 1, Quorum: true, HeartbeatEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pri.Close()
+		pri.AddFollower(fol.Addr())
+		const deadline = 5 * time.Second
+		var worst time.Duration
+		for i := 0; i < 200; i++ {
+			ps[i%3].Store.Put(fmt.Sprintf("k-%d", i), []byte("v"))
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			start := time.Now()
+			err := pri.Barrier(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("publish %d: barrier: %v", i, err)
+			}
+			worst = max(worst, time.Since(start))
+		}
+		if worst > deadline/5 {
+			t.Fatalf("slowest barrier waited %v of its %v deadline", worst, deadline)
+		}
+	})
+
 	dir := t.TempDir()
 	ps := openStores(t, filepath.Join(dir, "p"))
 	fs1 := openStores(t, filepath.Join(dir, "f1"))

@@ -39,6 +39,9 @@ func DecodeBatchFrame(frame []byte) (*Batch, error) {
 	}
 	b := &Batch{}
 	if err := replayPayload(payload, func(r walRecord) error {
+		if r.op == opEpoch {
+			return ErrCorrupt // markers belong to a log, not to a batch
+		}
 		b.ops = append(b.ops, r)
 		return nil
 	}); err != nil {

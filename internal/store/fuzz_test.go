@@ -24,6 +24,7 @@ func FuzzWALReplay(f *testing.F) {
 	s.Put("key-one", []byte("value-one"))
 	s.Put("key-two", []byte("value-two"))
 	s.Delete("key-one")
+	s.MarkEpoch(7)
 	var b Batch
 	b.Put("batch-one", []byte("batched-value"))
 	b.Delete("key-two")
@@ -47,12 +48,14 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		count := 0
-		validLen, err := replayWAL(path, func(r walRecord) error {
+		validLen, err := replayWAL(path, func(r walRecord, at int64) {
 			count++
-			if r.op != opPut && r.op != opDel {
+			if r.op != opPut && r.op != opDel && r.op != opEpoch {
 				t.Fatalf("replay surfaced invalid op %d", r.op)
 			}
-			return nil
+			if at < 0 || at >= int64(len(data)) {
+				t.Fatalf("record offset %d outside the file", at)
+			}
 		})
 		if validLen < 0 || validLen > int64(len(data)) {
 			t.Fatalf("validLen %d out of range [0,%d]", validLen, len(data))

@@ -25,6 +25,10 @@ var ErrWALRotated = errors.New("store: wal rotated under replication reader")
 // ErrNoWAL reports a replication operation on an in-memory store.
 var ErrNoWAL = errors.New("store: in-memory store has no wal")
 
+// ErrStaleEpoch reports MarkEpoch with an epoch below one the log
+// already holds.
+var ErrStaleEpoch = errors.New("store: stale epoch")
+
 // WALOffset returns the current end of the WAL in bytes — everything
 // below it is readable via ReadWAL. Offsets always fall on record
 // boundaries. In-memory stores report 0.
@@ -104,7 +108,9 @@ func (s *Store) ReadWAL(gen uint64, from int64, maxBytes int) ([]byte, error) {
 	}
 	n := limit - from
 	if int64(maxBytes) < n {
-		n = int64(maxBytes)
+		// Read at least one record header, so even a tiny cap finds the
+		// first record's length (whole records are ≥ 9 bytes).
+		n = max(int64(maxBytes), 8)
 	}
 	buf := make([]byte, n)
 	if _, err := s.log.f.ReadAt(buf, from); err != nil {
@@ -147,7 +153,11 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 	if len(seg) == 0 {
 		return s.WALOffset(), nil
 	}
-	var muts []walRecord
+	type located struct {
+		r  walRecord
+		at int64
+	}
+	var muts []located
 	off := 0
 	for off < len(seg) {
 		if off+8 > len(seg) {
@@ -162,8 +172,9 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 		if crc32.ChecksumIEEE(payload) != want {
 			return 0, fmt.Errorf("%w: replicated record checksum at segment offset %d", ErrCorrupt, off)
 		}
+		at := from + int64(off)
 		if err := replayPayload(payload, func(r walRecord) error {
-			muts = append(muts, r)
+			muts = append(muts, located{r, at})
 			return nil
 		}); err != nil {
 			return 0, err
@@ -189,18 +200,8 @@ func (s *Store) ApplyWALSegment(from int64, seg []byte) (int64, error) {
 	}
 	s.log.size += int64(len(seg))
 	s.log.flushed.Store(s.log.size)
-	for _, r := range muts {
-		switch r.op {
-		case opPut:
-			if old, existed := s.list.put(r.key, r.value); existed {
-				s.liveBytes -= int64(len(r.key) + len(old))
-			}
-			s.liveBytes += int64(len(r.key) + len(r.value))
-		case opDel:
-			if v, ok := s.list.del(r.key); ok {
-				s.liveBytes -= int64(len(r.key) + len(v))
-			}
-		}
+	for _, m := range muts {
+		s.applyLocked(m.r, m.at)
 	}
 	s.notifyWatchersLocked()
 	return s.log.size, nil
@@ -221,92 +222,6 @@ func (s *Store) WALSynced() int64 {
 		synced = flushed
 	}
 	return synced
-}
-
-// CRCWAL returns the CRC-32 (IEEE) of the raw WAL bytes [from, to) —
-// the cheap whole-prefix comparison a rejoining node's handshake runs
-// before falling back to the record-by-record digest walk. Offsets need
-// not be record boundaries (the CRC is over raw bytes), but to must not
-// exceed the flushed end.
-func (s *Store) CRCWAL(gen uint64, from, to int64) (uint32, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.log == nil {
-		return 0, ErrNoWAL
-	}
-	if gen != s.gen || from < 0 || to < from || to > s.log.flushed.Load() {
-		return 0, ErrWALRotated
-	}
-	crc := uint32(0)
-	buf := make([]byte, 256<<10)
-	for off := from; off < to; {
-		n := to - off
-		if n > int64(len(buf)) {
-			n = int64(len(buf))
-		}
-		if _, err := s.log.f.ReadAt(buf[:n], off); err != nil {
-			return 0, fmt.Errorf("store: wal crc read at %d: %w", off, err)
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
-		off += n
-	}
-	return crc, nil
-}
-
-// WALRecordDigest identifies one WAL record by the byte offset just
-// past it and the CRC-32 of its framed bytes (header + payload). Two
-// logs whose digest sequences agree through offset X are byte-identical
-// through X.
-type WALRecordDigest struct {
-	End int64
-	CRC uint32
-}
-
-// DigestWAL scans whole records starting at byte offset from (a record
-// boundary), returning at most max digests. A short or empty result
-// means the scan reached the flushed end of the log. The new primary
-// walks a rejoining node's digests against its own to locate the first
-// divergent record — the same record-by-record comparison `css-audit
-// -compare` runs over audit chains.
-func (s *Store) DigestWAL(gen uint64, from int64, max int) ([]WALRecordDigest, error) {
-	if max <= 0 {
-		return nil, nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.log == nil {
-		return nil, ErrNoWAL
-	}
-	limit := s.log.flushed.Load()
-	if gen != s.gen || from < 0 || from > limit {
-		return nil, ErrWALRotated
-	}
-	var out []WALRecordDigest
-	header := make([]byte, 8)
-	var payload []byte
-	for off := from; off < limit && len(out) < max; {
-		if _, err := s.log.f.ReadAt(header, off); err != nil {
-			return nil, fmt.Errorf("store: wal digest read at %d: %w", off, err)
-		}
-		n := int64(binary.LittleEndian.Uint32(header[0:4]))
-		if n <= 0 || off+8+n > limit {
-			return nil, fmt.Errorf("%w at offset %d: record overruns flushed boundary", ErrCorrupt, off)
-		}
-		payload = sizedBuf(payload, int(n))
-		if _, err := s.log.f.ReadAt(payload, off+8); err != nil {
-			return nil, fmt.Errorf("store: wal digest read at %d: %w", off+8, err)
-		}
-		crc := crc32.Update(crc32.ChecksumIEEE(header), crc32.IEEETable, payload)
-		off += 8 + n
-		out = append(out, WALRecordDigest{End: off, CRC: crc})
-	}
-	return out, nil
 }
 
 // TruncateWAL discards every WAL byte at or beyond offset — a record
@@ -342,23 +257,9 @@ func (s *Store) TruncateWAL(offset int64) error {
 		s.closed = true
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
-	// Rebuild memory from the surviving prefix, exactly like Open.
-	s.list = newSkipList(nextSeed())
-	s.liveBytes = 0
-	validLen, err := replayWAL(s.path, func(r walRecord) error {
-		switch r.op {
-		case opPut:
-			if old, existed := s.list.put(r.key, r.value); existed {
-				s.liveBytes -= int64(len(r.key) + len(old))
-			}
-			s.liveBytes += int64(len(r.key) + len(r.value))
-		case opDel:
-			if v, ok := s.list.del(r.key); ok {
-				s.liveBytes -= int64(len(r.key) + len(v))
-			}
-		}
-		return nil
-	})
+	// Rebuild memory (and the epoch history) from the surviving prefix,
+	// exactly like Open.
+	validLen, err := s.replay()
 	if err != nil {
 		s.closed = true
 		return fmt.Errorf("store: truncate wal: replay: %w", err)
@@ -381,6 +282,67 @@ func (s *Store) TruncateWAL(offset int64) error {
 	s.log = log
 	s.gen++
 	return nil
+}
+
+// EpochStart is one epoch marker in a WAL: the epoch and the byte
+// offset of the marker record, where that epoch's history begins.
+type EpochStart struct {
+	Epoch  uint64
+	Offset int64
+}
+
+// MarkEpoch appends an epoch-marker record for e and fsyncs it before
+// any reader can see it. A marker starts a writer incarnation: a node
+// marks every replicated store before its first write at e, on
+// promotion and on every boot as primary — also at the epoch of the
+// last marker, because a restarted writer may have lost an unsynced
+// tail that a follower already holds, and will write other bytes at
+// those offsets. An e below the last marked epoch is refused
+// (ErrStaleEpoch): the log already holds a newer writer's span; e = 0
+// is the implicit epoch and writes nothing. Followers never mark; they
+// receive the markers as ordinary shipped bytes. The markers therefore
+// ship, fsync, replay and truncate with the log itself, and
+// EpochHistory is the whole input a rejoin needs: two logs holding the
+// same marker at the same offset agree on every byte before it (Raft's
+// log matching, with (epoch, offset) for (term, index)).
+func (s *Store) MarkEpoch(e uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if s.log == nil {
+		return ErrNoWAL
+	}
+	if n := len(s.epochs); n > 0 && e < s.epochs[n-1].Epoch {
+		return fmt.Errorf("%w: epoch %d is below the log's last marker %d", ErrStaleEpoch, e, s.epochs[n-1].Epoch)
+	}
+	if e == 0 {
+		return nil
+	}
+	r := walRecord{op: opEpoch, epoch: e}
+	at := s.log.size
+	if err := s.log.append(r); err != nil {
+		return err
+	}
+	s.applyLocked(r, at)
+	// Durable before the lock drops: a shipped marker that the writer
+	// could still lose would let its next incarnation reuse the same
+	// (epoch, offset) for different bytes.
+	if err := s.log.syncTo(s.log.size); err != nil {
+		return err
+	}
+	s.notifyWatchersLocked()
+	return nil
+}
+
+// EpochHistory returns the epoch markers in the WAL, oldest first. It
+// is kept in memory and reads no log bytes. Everything before the first
+// marker belongs to the implicit epoch 0.
+func (s *Store) EpochHistory() []EpochStart {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]EpochStart(nil), s.epochs...)
 }
 
 // SyncWAL fsyncs the log through its current end — the follower's

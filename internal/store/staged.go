@@ -43,16 +43,14 @@ func (s *Store) StagePut(key string, value []byte) (Commit, error) {
 		s.mu.Unlock()
 		return Commit{}, ErrClosed
 	}
+	r := walRecord{op: opPut, key: key, value: value}
 	if s.log != nil {
-		if err := s.log.append(walRecord{op: opPut, key: key, value: value}); err != nil {
+		if err := s.log.append(r); err != nil {
 			s.mu.Unlock()
 			return Commit{}, err
 		}
 	}
-	if old, existed := s.list.put(key, value); existed {
-		s.liveBytes -= int64(len(key) + len(old))
-	}
-	s.liveBytes += int64(len(key) + len(value))
+	s.applyLocked(r, 0)
 	s.notifyWatchersLocked()
 	err := s.maybeCompactLocked()
 	lg, target := s.syncTargetLocked()
@@ -93,19 +91,7 @@ func (s *Store) StageApply(b *Batch) (Commit, error) {
 		}
 	}
 	for _, op := range b.ops {
-		switch op.op {
-		case opPut:
-			// put reports the displaced value from the same traversal
-			// that placed the node — no separate lookup for accounting.
-			if old, existed := s.list.put(op.key, op.value); existed {
-				s.liveBytes -= int64(len(op.key) + len(old))
-			}
-			s.liveBytes += int64(len(op.key) + len(op.value))
-		case opDel:
-			if old, ok := s.list.del(op.key); ok {
-				s.liveBytes -= int64(len(op.key) + len(old))
-			}
-		}
+		s.applyLocked(op, 0)
 	}
 	s.notifyWatchersLocked()
 	err := s.maybeCompactLocked()

@@ -45,6 +45,9 @@ type Store struct {
 	// watchers receive non-blocking edge-triggered tokens after every
 	// append (see WatchWAL).
 	watchers []chan struct{}
+	// epochs lists the epoch markers in the WAL, oldest first (see
+	// MarkEpoch).
+	epochs []EpochStart
 }
 
 // Open opens (creating if necessary) the store persisted at path.
@@ -57,21 +60,8 @@ func Open(path string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("store: mkdir: %w", err)
 		}
 	}
-	s := &Store{list: newSkipList(nextSeed()), path: path, opts: opts}
-	validLen, err := replayWAL(path, func(r walRecord) error {
-		switch r.op {
-		case opPut:
-			if old, existed := s.list.put(r.key, r.value); existed {
-				s.liveBytes -= int64(len(r.key) + len(old))
-			}
-			s.liveBytes += int64(len(r.key) + len(r.value))
-		case opDel:
-			if v, ok := s.list.del(r.key); ok {
-				s.liveBytes -= int64(len(r.key) + len(v))
-			}
-		}
-		return nil
-	})
+	s := &Store{path: path, opts: opts}
+	validLen, err := s.replay()
 	if err != nil {
 		return nil, err
 	}
@@ -87,6 +77,39 @@ func Open(path string, opts Options) (*Store, error) {
 	}
 	s.log = log
 	return s, nil
+}
+
+// replay rebuilds the in-memory state from the log file and returns the
+// length of its intact prefix.
+func (s *Store) replay() (int64, error) {
+	s.list = newSkipList(nextSeed())
+	s.liveBytes = 0
+	s.epochs = nil
+	return replayWAL(s.path, s.applyLocked)
+}
+
+// applyLocked folds one decoded WAL record into memory; the store lock
+// must be held (or the store not yet shared). at is the byte offset of
+// the record that carries it, which only epoch markers use. Every path
+// that changes memory — local writes, replay, replicated segments —
+// goes through here, so a log and the state rebuilt from it never
+// disagree.
+func (s *Store) applyLocked(r walRecord, at int64) {
+	switch r.op {
+	case opPut:
+		// put reports the displaced value from the same traversal that
+		// placed the node — no separate lookup for accounting.
+		if old, existed := s.list.put(r.key, r.value); existed {
+			s.liveBytes -= int64(len(r.key) + len(old))
+		}
+		s.liveBytes += int64(len(r.key) + len(r.value))
+	case opDel:
+		if old, ok := s.list.del(r.key); ok {
+			s.liveBytes -= int64(len(r.key) + len(old))
+		}
+	case opEpoch:
+		s.epochs = append(s.epochs, EpochStart{Epoch: r.epoch, Offset: at})
+	}
 }
 
 // OpenMemory returns a purely in-memory store (no durability), useful for
@@ -105,16 +128,15 @@ func (s *Store) Put(key string, value []byte) error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
+	r := walRecord{op: opPut, key: key, value: value}
 	if s.log != nil {
-		if err := s.log.append(walRecord{op: opPut, key: key, value: value}); err != nil {
+		if err := s.log.append(r); err != nil {
 			s.mu.Unlock()
 			return err
 		}
 	}
-	if old, existed := s.list.put(key, append([]byte(nil), value...)); existed {
-		s.liveBytes -= int64(len(key) + len(old))
-	}
-	s.liveBytes += int64(len(key) + len(value))
+	r.value = append([]byte(nil), value...)
+	s.applyLocked(r, 0)
 	s.notifyWatchersLocked()
 	err := s.maybeCompactLocked()
 	lg, target := s.syncTargetLocked()
@@ -181,15 +203,14 @@ func (s *Store) Delete(key string) error {
 		s.mu.Unlock()
 		return nil
 	}
+	r := walRecord{op: opDel, key: key}
 	if s.log != nil {
-		if err := s.log.append(walRecord{op: opDel, key: key}); err != nil {
+		if err := s.log.append(r); err != nil {
 			s.mu.Unlock()
 			return err
 		}
 	}
-	if v, deleted := s.list.del(key); deleted {
-		s.liveBytes -= int64(len(key) + len(v))
-	}
+	s.applyLocked(r, 0)
 	s.notifyWatchersLocked()
 	lg, target := s.syncTargetLocked()
 	s.mu.Unlock()
@@ -281,7 +302,10 @@ func (t Tx) AscendPrefix(prefix string, fn func(key string, value []byte) bool) 
 }
 
 // Compact rewrites the WAL to contain exactly the live data, reclaiming
-// space from overwritten and deleted records.
+// space from overwritten and deleted records. The rewritten log holds
+// no epoch markers, so EpochHistory is empty afterwards; replication
+// readers of the old file already fail with ErrWALRotated, and
+// replicated stores run with compaction off.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -339,6 +363,7 @@ func (s *Store) compactLocked() error {
 	}
 	s.log = log
 	s.gen++
+	s.epochs = nil
 	return nil
 }
 

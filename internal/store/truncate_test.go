@@ -90,108 +90,117 @@ func TestTruncateWALRejectsMidRecordOffset(t *testing.T) {
 	}
 }
 
-func TestDigestWALLocatesFirstDivergence(t *testing.T) {
+// TestEpochMarkers: markers are log records that survive reopen, ship
+// through ApplyWALSegment, are trimmed by TruncateWAL, and never show up
+// as data; an epoch below the last marker is refused, the same epoch
+// again is marked anew.
+func TestEpochMarkers(t *testing.T) {
 	dir := t.TempDir()
-	a, offsetsA := openAt(t, filepath.Join(dir, "a.wal"), 6)
+	pathA := filepath.Join(dir, "a.wal")
+	a, err := Open(pathA, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put("k1", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	mark3 := a.WALOffset()
+	if err := a.MarkEpoch(3); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []uint64{2, 0} { // a stale writer is refused
+		if err := a.MarkEpoch(e); !errors.Is(err, ErrStaleEpoch) {
+			t.Fatalf("MarkEpoch(%d) = %v, want ErrStaleEpoch", e, err)
+		}
+	}
+	if err := a.Put("k2", []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	// A writer restarting at its own epoch starts a new incarnation.
+	again3 := a.WALOffset()
+	if err := a.MarkEpoch(3); err != nil {
+		t.Fatal(err)
+	}
+	want := []EpochStart{{Epoch: 3, Offset: mark3}, {Epoch: 3, Offset: again3}}
+	checkData := func(t *testing.T, s *Store, history []EpochStart, keys ...string) {
+		t.Helper()
+		if got := s.EpochHistory(); fmt.Sprint(got) != fmt.Sprint(history) {
+			t.Fatalf("EpochHistory = %v, want %v", got, history)
+		}
+		if n, _ := s.Len(); n != len(keys) {
+			t.Fatalf("Len = %d, want %d", n, len(keys))
+		}
+		var seen []string
+		s.AscendPrefix("", func(k string, _ []byte) bool {
+			seen = append(seen, k)
+			return true
+		})
+		if fmt.Sprint(seen) != fmt.Sprint(keys) {
+			t.Fatalf("AscendPrefix keys = %v, want %v", seen, keys)
+		}
+		var live int64
+		for _, k := range keys {
+			v, ok, _ := s.Get(k)
+			if !ok {
+				t.Fatalf("Get(%q) missing", k)
+			}
+			live += int64(len(k) + len(v))
+		}
+		if s.liveBytes != live {
+			t.Fatalf("liveBytes = %d, want %d (markers must not count)", s.liveBytes, live)
+		}
+	}
+	checkData(t, a, want, "k1", "k2")
+
+	// Survives reopen.
+	a.Close()
+	if a, err = Open(pathA, Options{}); err != nil {
+		t.Fatal(err)
+	}
 	defer a.Close()
+	checkData(t, a, want, "k1", "k2")
+
+	// Arrives on a follower as ordinary shipped bytes.
 	b, err := Open(filepath.Join(dir, "b.wal"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-
-	// b replicates a's first 4 records verbatim, then diverges with its
-	// own writes — the deposed-primary shape.
-	seg, err := a.ReadWAL(a.WALGen(), 0, int(offsetsA[3]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.ApplyWALSegment(0, seg); err != nil {
-		t.Fatal(err)
-	}
-	divergeAt := b.WALOffset()
-	if divergeAt != offsetsA[3] {
-		t.Fatalf("replicated prefix ends at %d, want %d", divergeAt, offsetsA[3])
-	}
-	if err := b.Put("rogue", []byte("unreplicated suffix")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Whole-prefix CRC over the common range agrees; over b's full log
-	// it cannot be computed against a shorter... both logs happen to be
-	// comparable over [0, divergeAt) only.
-	ca, err := a.CRCWAL(a.WALGen(), 0, divergeAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := b.CRCWAL(b.WALGen(), 0, divergeAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca != cb {
-		t.Fatalf("prefix CRCs differ over identical bytes: %08x vs %08x", ca, cb)
-	}
-
-	// The digest walk pinpoints the divergence at record granularity.
-	da, err := a.DigestWAL(a.WALGen(), 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := b.DigestWAL(b.WALGen(), 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	common := int64(0)
-	for i := 0; i < len(da) && i < len(db); i++ {
-		if da[i].End != db[i].End || da[i].CRC != db[i].CRC {
-			break
+	ship := func() {
+		t.Helper()
+		seg, err := a.ReadWAL(a.WALGen(), b.WALOffset(), 1<<20)
+		if err != nil {
+			t.Fatal(err)
 		}
-		common = da[i].End
+		if _, err := b.ApplyWALSegment(b.WALOffset(), seg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if common != divergeAt {
-		t.Fatalf("digest walk found common prefix %d, want %d", common, divergeAt)
+	ship()
+	checkData(t, b, want, "k1", "k2")
+
+	mark5 := a.WALOffset()
+	if err := a.MarkEpoch(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put("k3", []byte("v3")); err != nil {
+		t.Fatal(err)
+	}
+	ship()
+	checkData(t, b, append(want, EpochStart{Epoch: 5, Offset: mark5}), "k1", "k2", "k3")
+
+	// A marker is a log record, not a batch member.
+	marker, err := a.ReadWAL(a.WALGen(), mark5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBatchFrame(marker); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeBatchFrame(marker) = %v, want ErrCorrupt", err)
 	}
 
-	// Truncating b to the common prefix and re-shipping from there makes
-	// the logs byte-identical.
-	if err := b.TruncateWAL(common); err != nil {
+	// Truncating at the marker trims it and everything after.
+	if err := b.TruncateWAL(mark5); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := a.ReadWAL(a.WALGen(), common, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.ApplyWALSegment(common, rest); err != nil {
-		t.Fatal(err)
-	}
-	fa, _ := a.CRCWAL(a.WALGen(), 0, a.WALOffset())
-	fb, _ := b.CRCWAL(b.WALGen(), 0, b.WALOffset())
-	if a.WALOffset() != b.WALOffset() || fa != fb {
-		t.Fatalf("logs not identical after rejoin: a=(%d,%08x) b=(%d,%08x)",
-			a.WALOffset(), fa, b.WALOffset(), fb)
-	}
-	if _, ok, _ := b.Get("rogue"); ok {
-		t.Fatal("unreplicated suffix survived the truncate")
-	}
-}
-
-func TestDigestWALMaxCap(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "data.wal")
-	s, offsets := openAt(t, path, 5)
-	defer s.Close()
-	ds, err := s.DigestWAL(s.WALGen(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 2 || ds[1].End != offsets[1] {
-		t.Fatalf("capped digest walk = %+v, want 2 records through %d", ds, offsets[1])
-	}
-	// Resume from the last end; the remainder is short.
-	rest, err := s.DigestWAL(s.WALGen(), ds[1].End, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 3 || rest[2].End != offsets[4] {
-		t.Fatalf("resumed digest walk = %+v, want 3 records through %d", rest, offsets[4])
-	}
+	checkData(t, b, want, "k1", "k2")
 }

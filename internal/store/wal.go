@@ -27,6 +27,11 @@ import (
 //	[4] value length v   (opPut only)
 //	[v] value bytes      (opPut only)
 //
+// payload (epoch marker — always a record of its own, never batched):
+//
+//	[1] opEpoch
+//	uvarint epoch
+//
 // payload (batch frame — N mutations in one atomic record):
 //
 //	[1] opBatch
@@ -50,6 +55,7 @@ const (
 	opPut   byte = 1
 	opDel   byte = 2
 	opBatch byte = 3
+	opEpoch byte = 4
 )
 
 // ErrCorrupt reports a WAL record that fails its checksum in the middle
@@ -60,10 +66,15 @@ type walRecord struct {
 	op    byte
 	key   string
 	value []byte
+	epoch uint64 // opEpoch only
 }
 
 // opSize returns the encoded size of one mutation.
 func opSize(r walRecord) int {
+	if r.op == opEpoch {
+		var tmp [binary.MaxVarintLen64]byte
+		return 1 + binary.PutUvarint(tmp[:], r.epoch)
+	}
 	n := 1 + 4 + len(r.key)
 	if r.op == opPut {
 		n += 4 + len(r.value)
@@ -75,6 +86,9 @@ func opSize(r walRecord) int {
 // consumed. p must have room (see opSize).
 func putOp(p []byte, r walRecord) int {
 	p[0] = r.op
+	if r.op == opEpoch {
+		return 1 + binary.PutUvarint(p[1:], r.epoch)
+	}
 	binary.LittleEndian.PutUint32(p[1:5], uint32(len(r.key)))
 	copy(p[5:], r.key)
 	if r.op == opPut {
@@ -121,8 +135,9 @@ func sizedBuf(buf []byte, need int) []byte {
 	return buf[:need]
 }
 
-// decodeOp decodes one mutation from the start of p, returning it and the
-// bytes consumed.
+// decodeOp decodes one put or delete from the start of p, returning it
+// and the bytes consumed. Epoch markers are not mutations and never sit
+// inside a batch, so decodeOp rejects them.
 func decodeOp(p []byte) (walRecord, int, error) {
 	if len(p) < 5 {
 		return walRecord{}, 0, ErrCorrupt
@@ -152,11 +167,18 @@ func decodeOp(p []byte) (walRecord, int, error) {
 	return r, n, nil
 }
 
-// replayPayload decodes a checksummed payload — a single mutation or a
-// batch frame — invoking fn for each mutation in order.
+// replayPayload decodes a checksummed payload — a single mutation, an
+// epoch marker or a batch frame — invoking fn for each record in order.
 func replayPayload(p []byte, fn func(walRecord) error) error {
 	if len(p) == 0 {
 		return ErrCorrupt
+	}
+	if p[0] == opEpoch {
+		e, n := binary.Uvarint(p[1:])
+		if n <= 0 || 1+n != len(p) {
+			return fmt.Errorf("%w: bad epoch marker", ErrCorrupt)
+		}
+		return fn(walRecord{op: opEpoch, epoch: e})
 	}
 	if p[0] != opBatch {
 		r, n, err := decodeOp(p)
@@ -253,7 +275,9 @@ func (l *wal) write() error {
 // syncTo blocks until at least the first `target` bytes of the log are
 // fsynced. Writers that arrive while another fsync is in flight wait for
 // syncMu and then usually find their bytes already covered — the group
-// commit. Must not be called while holding the Store lock.
+// commit. Writers call it after releasing the Store lock; holding the
+// lock is safe (no syncMu holder takes it) but serialises writers
+// behind the fsync, which only the rare MarkEpoch accepts.
 func (l *wal) syncTo(target int64) error {
 	if l.synced.Load() >= target {
 		return nil
@@ -287,8 +311,8 @@ func (l *wal) close() error {
 	return l.f.Close()
 }
 
-// replay reads all intact records from path, invoking fn for each. It
-// returns the byte offset of the first torn tail record (== file size
+// replayWAL reads all intact records from path, invoking fn for each
+// with the byte offset of the record that carries it. It returns the byte offset of the first torn tail record (== file size
 // when the log is clean) so the caller can truncate it away.
 //
 // Only the shapes a crashed append can actually produce are forgiven as
@@ -299,7 +323,7 @@ func (l *wal) close() error {
 // bytes were durably written and then damaged, and truncating them would
 // silently rewrite history out from under the audit chain and any replica
 // shipping this log.
-func replayWAL(path string, fn func(walRecord) error) (validLen int64, err error) {
+func replayWAL(path string, fn func(r walRecord, at int64)) (validLen int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -315,6 +339,10 @@ func replayWAL(path string, fn func(walRecord) error) (validLen int64, err error
 	fileSize := st.Size()
 	br := bufio.NewReader(f)
 	var offset int64
+	emit := func(r walRecord) error {
+		fn(r, offset)
+		return nil
+	}
 	header := make([]byte, 8)
 	for {
 		if _, err := io.ReadFull(br, header); err != nil {
@@ -343,7 +371,7 @@ func replayWAL(path string, fn func(walRecord) error) (validLen int64, err error
 		if crc32.ChecksumIEEE(payload) != want {
 			return offset, fmt.Errorf("%w at offset %d", ErrCorrupt, offset)
 		}
-		if err := replayPayload(payload, fn); err != nil {
+		if err := replayPayload(payload, emit); err != nil {
 			return offset, err
 		}
 		offset += 8 + n

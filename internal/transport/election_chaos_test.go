@@ -453,9 +453,9 @@ func TestChaosElectionFailover(t *testing.T) {
 						same = false
 						break
 					}
-					wc, err1 := w.CRCWAL(w.WALGen(), 0, w.WALOffset())
-					rc, err2 := r.CRCWAL(r.WALGen(), 0, r.WALOffset())
-					if err1 != nil || err2 != nil || wc != rc {
+					wb, err1 := w.ReadWAL(w.WALGen(), 0, 1<<30)
+					rb, err2 := r.ReadWAL(r.WALGen(), 0, 1<<30)
+					if err1 != nil || err2 != nil || !bytes.Equal(wb, rb) {
 						same = false
 						break
 					}
