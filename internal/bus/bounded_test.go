@@ -29,167 +29,6 @@ func (g *gate) handle(m *Message) error {
 	return g.c.handle(m)
 }
 
-// fillQueue publishes until one message is in flight and the queue holds
-// exactly max messages, so the next publish must overflow.
-func fillQueue(t *testing.T, b *Broker, sub *Subscription, g *gate, max int) {
-	t.Helper()
-	b.Publish("t", []byte("inflight"))
-	select {
-	case <-g.entered:
-	case <-time.After(flushTimeout):
-		t.Fatal("handler never entered")
-	}
-	for i := 0; i < max; i++ {
-		b.Publish("t", []byte(fmt.Sprintf("q%02d", i)))
-	}
-	deadline := time.Now().Add(flushTimeout)
-	for sub.Pending() < max && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if p := sub.Pending(); p != max {
-		t.Fatalf("queue depth = %d, want %d", p, max)
-	}
-}
-
-func TestShedOldestEvictsHead(t *testing.T) {
-	b := New(Options{MaxPending: 2, Policy: ShedOldest})
-	defer b.Close()
-	g := newGate()
-	sub, _ := b.Subscribe("t", "slow", g.handle)
-	fillQueue(t, b, sub, g, 2) // in flight + [q00 q01]
-	b.Publish("t", []byte("newest"))
-	// q00 (the oldest queued) was displaced to the DLQ.
-	dls := sub.DeadLetters()
-	if len(dls) != 1 || string(dls[0].Body) != "q00" {
-		t.Fatalf("DLQ after shed-oldest = %v", bodiesOf(dls))
-	}
-	close(g.release)
-	if !b.Flush(flushTimeout) {
-		t.Fatal("Flush timed out")
-	}
-	got := g.c.bodies()
-	if len(got) != 3 || got[len(got)-1] != "newest" {
-		t.Errorf("delivered = %v, want the fresh message last", got)
-	}
-	if st := b.Stats(); st.Overflowed != 1 {
-		t.Errorf("Overflowed = %d", st.Overflowed)
-	}
-}
-
-func TestRejectPolicyReturnsErrQueueFull(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Reject})
-	defer b.Close()
-	g := newGate()
-	var fast collector
-	fastSub, _ := b.Subscribe("t", "fast", fast.handle)
-	// The healthy subscription shares the broker's MaxPending bound, so
-	// let it drain before each publish: only the wedged peer may reject.
-	waitEmpty := func() {
-		t.Helper()
-		deadline := time.Now().Add(flushTimeout)
-		for fastSub.Pending() > 0 && time.Now().Before(deadline) {
-			time.Sleep(100 * time.Microsecond)
-		}
-		if p := fastSub.Pending(); p > 0 {
-			t.Fatalf("healthy subscription never drained (%d pending)", p)
-		}
-	}
-	sub, _ := b.Subscribe("t", "slow", g.handle)
-	b.Publish("t", []byte("inflight"))
-	<-g.entered
-	waitEmpty()
-	b.Publish("t", []byte("q00"))
-	deadline := time.Now().Add(flushTimeout)
-	for sub.Pending() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	waitEmpty()
-	seq, err := b.Publish("t", []byte("extra"))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Publish on full Reject queue = %v, want ErrQueueFull", err)
-	}
-	if seq == 0 {
-		t.Fatal("rejected publish lost its sequence number")
-	}
-	// The rejecting subscription holds nothing extra and nothing was
-	// dead-lettered; the healthy subscription still received the message.
-	if len(sub.DeadLetters()) != 0 {
-		t.Errorf("Reject dead-lettered: %v", bodiesOf(sub.DeadLetters()))
-	}
-	close(g.release)
-	if !b.Flush(flushTimeout) {
-		t.Fatal("Flush timed out")
-	}
-	found := false
-	for _, body := range fast.bodies() {
-		if body == "extra" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("healthy subscription missed the message a full peer rejected")
-	}
-	if st := b.Stats(); st.Rejected != 1 {
-		t.Errorf("Rejected = %d", st.Rejected)
-	}
-}
-
-func TestBlockPolicyWaitsForSpace(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Block, BlockTimeout: flushTimeout})
-	defer b.Close()
-	g := newGate()
-	b.Subscribe("t", "slow", g.handle)
-	b.Publish("t", []byte("inflight"))
-	<-g.entered
-	b.Publish("t", []byte("queued"))
-	done := make(chan struct{})
-	go func() {
-		// Queue is full: this publish parks until the consumer drains.
-		b.Publish("t", []byte("parked"))
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Block publish returned while the queue was full")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(g.release)
-	select {
-	case <-done:
-	case <-time.After(flushTimeout):
-		t.Fatal("Block publish never unparked after space opened")
-	}
-	if !b.Flush(flushTimeout) {
-		t.Fatal("Flush timed out")
-	}
-	got := g.c.bodies()
-	if len(got) != 3 {
-		t.Errorf("delivered = %v, want all three (none shed)", got)
-	}
-	if st := b.Stats(); st.Overflowed != 0 {
-		t.Errorf("Overflowed = %d under Block with space", st.Overflowed)
-	}
-}
-
-func TestBlockPolicyTimeoutShedsNewest(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Block, BlockTimeout: 10 * time.Millisecond})
-	defer b.Close()
-	g := newGate()
-	sub, _ := b.Subscribe("t", "wedged", g.handle)
-	fillQueue(t, b, sub, g, 1)
-	start := time.Now()
-	b.Publish("t", []byte("doomed")) // parks, times out, sheds
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Errorf("Block publish returned after %v, before the timeout", elapsed)
-	}
-	dls := sub.DeadLetters()
-	if len(dls) != 1 || string(dls[0].Body) != "doomed" {
-		t.Fatalf("DLQ after Block timeout = %v", bodiesOf(dls))
-	}
-	close(g.release)
-	b.Flush(flushTimeout)
-}
-
 func TestMaxDeadCapEvictsOldest(t *testing.T) {
 	b := New(Options{MaxAttempts: 1, MaxDead: 2})
 	var evicted atomic.Int64
@@ -337,49 +176,35 @@ func TestFlushContextDuringClose(t *testing.T) {
 	}
 }
 
-// TestBlockedPublisherSurvivesClose: a publisher parked by the Block
-// policy while the broker closes routes its message to the drain
-// snapshot rather than hanging or losing it.
-func TestBlockedPublisherSurvivesClose(t *testing.T) {
-	b := New(Options{MaxPending: 1, Policy: Block, BlockTimeout: flushTimeout})
-	g := newGate()
-	b.Subscribe("t", "wedged", g.handle)
-	b.Publish("t", []byte("inflight"))
-	<-g.entered
-	b.Publish("t", []byte("queued"))
-	parked := make(chan struct{})
-	go func() {
-		b.Publish("t", []byte("parked"))
-		close(parked)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(g.release)
-	}()
-	b.Close()
-	select {
-	case <-parked:
-	case <-time.After(flushTimeout):
-		t.Fatal("blocked publisher never returned after Close")
-	}
-	// Everything accepted is accounted for: delivered, snapshotted, or in
-	// a DLQ — nothing simply vanished.
-	snap := b.DrainSnapshot()
-	total := g.c.count() + len(snap)
-	if total != 3 {
-		t.Errorf("delivered %d + snapshot %v: %d accounted, want 3",
-			g.c.count(), bodiesOf(snap), total)
-	}
-}
-
 // TestConcurrentPublishersBoundedQueue: under -race, hammering a bounded
-// queue from many goroutines keeps the depth accounting exact.
+// queue from many goroutines keeps the depth accounting exact, while a
+// second subscription on the topic is added and removed concurrently
+// with the fan-out that runs under the broker's read lock.
 func TestConcurrentPublishersBoundedQueue(t *testing.T) {
-	b := New(Options{MaxPending: 4, Policy: ShedOldest})
+	b := New(Options{MaxPending: 4})
 	defer b.Close()
 	var c collector
-	b.Subscribe("t", "s", c.handle)
+	sub, _ := b.Subscribe("t", "s", c.handle)
+	stop := make(chan struct{})
+	churned := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				churned <- n
+				return
+			default:
+			}
+			if _, err := b.Subscribe("t", "churn", func(*Message) error { return nil }); err != nil {
+				t.Errorf("Subscribe churn: %v", err)
+			}
+			if err := b.Unsubscribe("t", "churn"); err != nil {
+				t.Errorf("Unsubscribe churn: %v", err)
+			}
+			n++
+		}
+	}()
 	var wg sync.WaitGroup
 	const pubs, per = 8, 50
 	for p := 0; p < pubs; p++ {
@@ -392,15 +217,18 @@ func TestConcurrentPublishersBoundedQueue(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	if n := <-churned; n == 0 {
+		t.Error("churn goroutine never cycled a subscription")
+	}
 	if !b.Flush(flushTimeout) {
 		t.Fatal("Flush timed out")
 	}
 	if got := b.Stats().QueueDepth; got != 0 {
 		t.Errorf("QueueDepth after drain = %d", got)
 	}
-	st := b.Stats()
-	if st.Delivered+st.Overflowed != pubs*per {
-		t.Errorf("delivered %d + overflowed %d != %d", st.Delivered, st.Overflowed, pubs*per)
+	if got, shed := c.count(), len(sub.DeadLetters()); got+shed != pubs*per {
+		t.Errorf("delivered %d + overflowed %d != %d", got, shed, pubs*per)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestPerSubscriptionOrdering(t *testing.T) {
 }
 
 func TestRetryThenSuccess(t *testing.T) {
-	b := New(Options{MaxAttempts: 3, RetryBackoff: time.Microsecond})
+	b := New(Options{MaxAttempts: 3})
 	defer b.Close()
 	var calls atomic.Int32
 	b.Subscribe("t", "flaky", func(m *Message) error {
@@ -151,7 +151,7 @@ func TestRetryThenSuccess(t *testing.T) {
 }
 
 func TestDeadLetterAfterExhaustion(t *testing.T) {
-	b := New(Options{MaxAttempts: 2, RetryBackoff: time.Microsecond})
+	b := New(Options{MaxAttempts: 2})
 	defer b.Close()
 	sub, _ := b.Subscribe("t", "angry", func(m *Message) error {
 		return errors.New("always fails")
@@ -174,7 +174,7 @@ func TestDeadLetterAfterExhaustion(t *testing.T) {
 }
 
 func TestHandlerPanicIsContained(t *testing.T) {
-	b := New(Options{MaxAttempts: 2, RetryBackoff: time.Microsecond})
+	b := New(Options{MaxAttempts: 2})
 	defer b.Close()
 	var c collector
 	sub, _ := b.Subscribe("t", "panicky", func(m *Message) error {

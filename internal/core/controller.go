@@ -64,7 +64,8 @@ type Config struct {
 	// DataDir persists the controller state (index, id map, audit trail,
 	// consent registry) under this directory. Empty means in-memory.
 	DataDir string
-	// Bus configures the event distribution fabric.
+	// Bus configures the event distribution fabric. Its Observer is
+	// replaced by the controller's css_bus_* metric wiring.
 	Bus bus.Options
 	// DefaultConsent is the consent decision with no recorded directive.
 	// CSS deployments use opt-out (true): baseline consent is collected
@@ -141,7 +142,7 @@ type instruments struct {
 
 	busDepth      *telemetry.Gauge   // css_bus_queue_depth
 	busHWM        *telemetry.Gauge   // css_bus_queue_depth_hwm
-	busOverflow   *telemetry.Counter // css_bus_overflow_total{policy}
+	busOverflow   *telemetry.Counter // css_bus_overflow_total
 	busDLQEvicted *telemetry.Counter // css_bus_dlq_evicted_total
 
 	// The publish and delivery histograms are unlabeled and observed on
@@ -157,47 +158,6 @@ type instruments struct {
 	clusterReshardRejects *telemetry.Counter // css_cluster_reshard_rejects_total
 	clusterHandoff        *telemetry.Counter // css_cluster_handoff_events_total{direction}
 	clusterMapVersion     *telemetry.Gauge   // css_cluster_map_version
-}
-
-// composeBusObserver chains a caller-supplied bus observer with the
-// controller's metric wiring; either side's nil callbacks are skipped.
-func composeBusObserver(user, met bus.Observer) bus.Observer {
-	pick := func(a, b func(int)) func(int) {
-		switch {
-		case a == nil:
-			return b
-		case b == nil:
-			return a
-		default:
-			return func(v int) { a(v); b(v) }
-		}
-	}
-	pickS := func(a, b func(string)) func(string) {
-		switch {
-		case a == nil:
-			return b
-		case b == nil:
-			return a
-		default:
-			return func(v string) { a(v); b(v) }
-		}
-	}
-	pick0 := func(a, b func()) func() {
-		switch {
-		case a == nil:
-			return b
-		case b == nil:
-			return a
-		default:
-			return func() { a(); b() }
-		}
-	}
-	return bus.Observer{
-		QueueDepth: pick(user.QueueDepth, met.QueueDepth),
-		QueueHWM:   pick(user.QueueHWM, met.QueueHWM),
-		Overflow:   pickS(user.Overflow, met.Overflow),
-		DLQEvicted: pick0(user.DLQEvicted, met.DLQEvicted),
-	}
 }
 
 func newInstruments(reg *telemetry.Registry) instruments {
@@ -224,8 +184,7 @@ func newInstruments(reg *telemetry.Registry) instruments {
 		busHWM: reg.Gauge("css_bus_queue_depth_hwm",
 			"High-water mark of css_bus_queue_depth since start."),
 		busOverflow: reg.Counter("css_bus_overflow_total",
-			"Messages a full subscription queue diverted, evicted or rejected, by policy.",
-			"policy"),
+			"Messages a full subscription queue diverted to its dead-letter queue."),
 		busDLQEvicted: reg.Counter("css_bus_dlq_evicted_total",
 			"Dead letters dropped by the per-subscription DLQ cap."),
 		publishSeconds: reg.Histogram("css_publish_seconds",
@@ -396,14 +355,13 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.enf.SetCacheObserver(c.recordCacheEvent)
 	c.idx.SetCacheObserver(c.recordCacheEvent)
-	// Export the broker's load signals as css_bus_* metrics, composing
-	// with (not replacing) any observer the caller installed.
-	cfg.Bus.Observer = composeBusObserver(cfg.Bus.Observer, bus.Observer{
+	// Export the broker's load signals as css_bus_* metrics.
+	cfg.Bus.Observer = bus.Observer{
 		QueueDepth: func(delta int) { c.met.busDepth.Add(float64(delta)) },
 		QueueHWM:   func(depth int) { c.met.busHWM.Set(float64(depth)) },
-		Overflow:   func(policy string) { c.met.busOverflow.Inc(policy) },
+		Overflow:   func() { c.met.busOverflow.Inc() },
 		DLQEvicted: func() { c.met.busDLQEvicted.Inc() },
-	})
+	}
 	c.brk = bus.New(cfg.Bus)
 	c.pending = newPendingBook()
 

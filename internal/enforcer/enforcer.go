@@ -460,47 +460,3 @@ func (e *Enforcer) GetEventDetailsContext(ctx context.Context, r *event.DetailRe
 	}
 	return d, out, nil
 }
-
-// Prefetch warms the read path for a request without releasing anything
-// to the caller: it resolves the event, runs (and caches) the policy
-// decision, and on permit drives one gateway fetch whose result is
-// discarded at the controller. The fetch populates the producer-side
-// decoded-detail cache and coalesces with identical concurrent requests,
-// so a burst of consumers arriving behind a prefetch shares its
-// round-trip. Nothing is stored controller-side (E13: event details must
-// not be duplicated outside the producer's control).
-func (e *Enforcer) Prefetch(r *event.DetailRequest) error {
-	return e.PrefetchContext(context.Background(), r)
-}
-
-// PrefetchContext is Prefetch bounded by a context: the speculative
-// gateway fetch is skipped when the context is already done (a prefetch
-// is the first work to shed under pressure).
-func (e *Enforcer) PrefetchContext(ctx context.Context, r *event.DetailRequest) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	m, err := e.ids.Resolve(r.EventID)
-	if err != nil {
-		if errors.Is(err, idmap.ErrNotFound) {
-			return fmt.Errorf("%w: %s", ErrUnknownEvent, r.EventID)
-		}
-		return err
-	}
-	if m.Class != r.Class {
-		return ErrClassMismatch
-	}
-	dec := e.decide(r)
-	if !dec.permit {
-		return ErrDenied
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	g, err := e.gateway(m.Producer)
-	if err != nil {
-		return err
-	}
-	_, _, err = e.fetch(ctx, g, r.Trace, m.Source, dec.policyID, dec.fields)
-	return err
-}

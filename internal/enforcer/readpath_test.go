@@ -249,28 +249,6 @@ func TestGatewayFetchCoalescing(t *testing.T) {
 	}
 }
 
-func TestPrefetchWarmsDecisionCache(t *testing.T) {
-	f := newFixture(t)
-	cc := observeInto(f.enf)
-	f.addPolicy(t, "patient-id", "hemoglobin")
-	if err := f.enf.Prefetch(f.request()); err != nil {
-		t.Fatalf("Prefetch: %v", err)
-	}
-	if _, out, err := f.enf.GetEventDetails(f.request()); err != nil || out.Decision != event.Permit {
-		t.Fatalf("post-prefetch request: err=%v out=%+v", err, out)
-	}
-	if h := cc.hit("pdp.decision"); h != 1 {
-		t.Errorf("decision hits after prefetch = %d, want 1 (prefetch warmed it)", h)
-	}
-}
-
-func TestPrefetchDeniesLikeTheRealPath(t *testing.T) {
-	f := newFixture(t)
-	if err := f.enf.Prefetch(f.request()); !errors.Is(err, ErrDenied) {
-		t.Errorf("prefetch without policy: err = %v, want ErrDenied", err)
-	}
-}
-
 // TestNoStalePermitUnderPolicyChurn storms GetEventDetails while a
 // mutator adds and revokes the authorizing policy, and proves
 // deny-by-default survives the decision cache: a permit observed in a

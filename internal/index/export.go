@@ -25,13 +25,12 @@ func (ix *Index) Pseudonym(person string) string {
 }
 
 // movedEvent is one event whose owner changes under the next shard
-// map, with everything needed to rebuild its four index keys.
+// map, with everything needed to rebuild its three index keys.
 type movedEvent struct {
 	id        event.GlobalID
 	pseudonym string
 	ts        string
 	class     event.ClassID
-	producer  event.ProducerID
 	value     []byte // raw persisted record (person id still sealed)
 }
 
@@ -69,7 +68,6 @@ func (ix *Index) collectMoved(moved func(pseudonym string) bool) ([]movedEvent, 
 				pseudonym: pseud,
 				ts:        ts,
 				class:     r.Class,
-				producer:  r.Producer,
 				value:     append([]byte(nil), raw...),
 			})
 			return true
@@ -83,7 +81,7 @@ func (ix *Index) collectMoved(moved func(pseudonym string) bool) ([]movedEvent, 
 }
 
 // ExportMoved streams every event whose pseudonym satisfies moved as
-// one store batch each — the primary record plus its three secondary
+// one store batch each — the primary record plus its two secondary
 // keys, exactly as PutStaged wrote them — and returns the count and
 // the moved global ids (so the caller can ship the matching id-map
 // entries alongside). The records travel with the person id still
@@ -103,7 +101,6 @@ func (ix *Index) ExportMoved(moved func(pseudonym string) bool,
 		idVal := []byte(ev.id)
 		b.Put(personIdxKey(ev.pseudonym, ev.ts, ev.id), idVal)
 		b.Put(classIdxKey(ev.class, ev.ts, ev.id), idVal)
-		b.Put(producerIdxKey(ev.producer, ev.id), idVal)
 		if err := ship(ev.id, ev.pseudonym, &b); err != nil {
 			return len(gids), gids, err
 		}
@@ -134,7 +131,6 @@ func (ix *Index) SweepMoved(moved func(pseudonym string) bool) ([]event.GlobalID
 		b.Delete(eventKey(ev.id))
 		b.Delete(personIdxKey(ev.pseudonym, ev.ts, ev.id))
 		b.Delete(classIdxKey(ev.class, ev.ts, ev.id))
-		b.Delete(producerIdxKey(ev.producer, ev.id))
 		gids = append(gids, ev.id)
 	}
 	if b.Len() == 0 {

@@ -162,12 +162,12 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 		personKey = ix.pseudonym(n.PersonID)
 	}
 	data := appendRecordJSON(n, sealed)
-	// The primary record and its three secondary keys commit as one
+	// The primary record and its two secondary keys commit as one
 	// store batch: one lock acquisition, one WAL frame, and — because a
 	// batch frame replays all-or-nothing — no crash window in which a
 	// notification exists without its index entries (or vice versa).
 	// All values are freshly built per call, so they transfer to the
-	// store without defensive copies; the three secondary entries share
+	// store without defensive copies; the two secondary entries share
 	// one id slice.
 	ts := timeKey(n.OccurredAt)
 	idVal := []byte(n.ID)
@@ -176,7 +176,6 @@ func (ix *Index) PutStaged(n *event.Notification) (store.Commit, error) {
 	b.PutOwned(eventKey(n.ID), data)
 	b.PutOwned(personIdxKey(personKey, ts, n.ID), idVal)
 	b.PutOwned(classIdxKey(n.Class, ts, n.ID), idVal)
-	b.PutOwned(producerIdxKey(n.Producer, n.ID), idVal)
 	c, err := ix.st.StageApply(b)
 	batchPool.Put(b)
 	if err != nil {
@@ -440,10 +439,6 @@ func personIdxKey(person, ts string, id event.GlobalID) string {
 
 func classIdxKey(c event.ClassID, ts string, id event.GlobalID) string {
 	return "c/" + string(c) + "/" + ts + "/" + string(id)
-}
-
-func producerIdxKey(p event.ProducerID, id event.GlobalID) string {
-	return "s/" + string(p) + "/" + string(id)
 }
 
 // timeKey renders an instant as a fixed-width sortable key component

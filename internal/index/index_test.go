@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -58,6 +59,29 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if _, err := ix.Get("evt-404"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(unknown) = %v", err)
+	}
+}
+
+// TestPutWritesOnlyQueriedKeys: a Put stores the record and exactly the
+// secondary keys some query path reads (p/ for person inquiries, c/ for
+// class inquiries) and nothing else.
+func TestPutWritesOnlyQueriedKeys(t *testing.T) {
+	st := store.OpenMemory()
+	ix := New(st, keyring(t))
+	if err := ix.Put(notif("evt-1", "PRS-0001", "hospital.blood-test", t0)); err != nil {
+		t.Fatal(err)
+	}
+	byPrefix := map[string]int{}
+	if err := st.AscendPrefix("", func(k string, _ []byte) bool {
+		p, _, _ := strings.Cut(k, "/")
+		byPrefix[p+"/"]++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"e/": 1, "p/": 1, "c/": 1}
+	if !reflect.DeepEqual(byPrefix, want) {
+		t.Fatalf("keys by prefix = %v, want %v", byPrefix, want)
 	}
 }
 
@@ -315,7 +339,7 @@ func TestPutAtomicityAcrossCrash(t *testing.T) {
 		_, getErr := rix.Get("evt-torn")
 		entries := secondaryEntries(t, rst, "evt-torn")
 		switch {
-		case getErr == nil && entries == 3: // fully applied
+		case getErr == nil && entries == 2: // fully applied
 		case errors.Is(getErr, ErrNotFound) && entries == 0: // fully dropped
 		default:
 			t.Fatalf("cut %d: partial index state: get=%v secondaries=%d", cut, getErr, entries)
@@ -333,12 +357,12 @@ func walSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// secondaryEntries counts the person/class/producer index keys that
+// secondaryEntries counts the person/class index keys that
 // reference the given event id.
 func secondaryEntries(t *testing.T, st *store.Store, id string) int {
 	t.Helper()
 	count := 0
-	for _, prefix := range []string{"p/", "c/", "s/"} {
+	for _, prefix := range []string{"p/", "c/"} {
 		err := st.AscendPrefix(prefix, func(k string, v []byte) bool {
 			if string(v) == id {
 				count++

@@ -1,8 +1,8 @@
 // Package overload is the server-side overload-protection layer of the
-// CSS platform: a weighted admission controller with per-endpoint
-// concurrency limits, per-actor token-bucket rate limits, and a
-// priority-aware load shedder that drops detail prefetches and index
-// queries before it ever touches a notification publish.
+// CSS platform: a weighted admission controller with per-actor
+// token-bucket rate limits and a priority-aware load shedder that drops
+// index and browse queries, then detail requests, before it ever
+// touches a notification publish.
 //
 // The paper's data controller is a shared rooting node (§4, Fig. 2):
 // every social and health source system publishes through it, so one
@@ -15,7 +15,7 @@
 //
 // Shed order under pressure (lowest priority first):
 //
-//	Low      index inquiries, audit/stat queries, prefetch warming
+//	Low      index inquiries, audit/stat queries
 //	Normal   detail requests, subscriptions, policy/consent writes
 //	Critical notification publishes (the platform's source of truth)
 //
@@ -40,7 +40,7 @@ import (
 type Priority int
 
 const (
-	// Low is shed first: prefetches and queries are reconstructible.
+	// Low is shed first: queries are reconstructible.
 	Low Priority = iota
 	// Normal is the default request class (detail requests, writes).
 	Normal
@@ -65,10 +65,9 @@ func (p Priority) String() string {
 
 // Shed reasons recorded in css_overload_shed_total{reason}.
 const (
-	ReasonConcurrency = "concurrency" // endpoint concurrency limit hit
-	ReasonPressure    = "pressure"    // global saturation shed this priority
-	ReasonRate        = "rate"        // per-actor token bucket empty
-	ReasonDraining    = "draining"    // gate is draining for shutdown
+	ReasonPressure = "pressure" // global saturation shed this priority
+	ReasonRate     = "rate"     // per-actor token bucket empty
+	ReasonDraining = "draining" // gate is draining for shutdown
 )
 
 // Fractions of the global in-flight budget beyond which a priority class
@@ -84,19 +83,11 @@ type Config struct {
 	// endpoints (the global budget the shedder grades by priority).
 	// Zero means DefaultMaxInFlight; negative disables the global bound.
 	MaxInFlight int
-	// Endpoint bounds concurrency per endpoint name, overriding the
-	// global budget check for nothing — both must pass. Endpoints not
-	// listed are limited only by the global budget.
-	Endpoint map[string]int
 	// ActorRPS is the steady per-actor admission rate (token-bucket
-	// refill, tokens per second). Zero means DefaultActorRPS; negative
-	// disables per-actor limiting.
+	// refill, tokens per second); the bucket holds 2×ActorRPS tokens
+	// (at least 1). Zero means DefaultActorRPS; negative disables
+	// per-actor limiting.
 	ActorRPS float64
-	// ActorBurst is the bucket capacity. Zero means 2×ActorRPS (≥1).
-	ActorBurst float64
-	// RetryAfter is the hint returned with shed requests. Zero means
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 	// Metrics receives css_overload_*. Nil creates a private registry.
 	Metrics *telemetry.Registry
 	// Now injects a clock for the token buckets (tests). Nil: time.Now.
@@ -107,7 +98,8 @@ type Config struct {
 const (
 	DefaultMaxInFlight = 256
 	DefaultActorRPS    = 50.0
-	DefaultRetryAfter  = 1 * time.Second
+	// DefaultRetryAfter is the hint returned with every shed request.
+	DefaultRetryAfter = 1 * time.Second
 )
 
 // Decision is the outcome of one admission check.
@@ -128,9 +120,6 @@ type Gate struct {
 	inflight atomic.Int64
 	draining atomic.Bool
 
-	epMu       sync.Mutex
-	epInflight map[string]*atomic.Int64
-
 	actors *bucketTable
 
 	admitted     *telemetry.Counter
@@ -147,15 +136,6 @@ func NewGate(cfg Config) *Gate {
 	if cfg.ActorRPS == 0 {
 		cfg.ActorRPS = DefaultActorRPS
 	}
-	if cfg.ActorBurst <= 0 {
-		cfg.ActorBurst = 2 * cfg.ActorRPS
-		if cfg.ActorBurst < 1 {
-			cfg.ActorBurst = 1
-		}
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -165,9 +145,8 @@ func NewGate(cfg Config) *Gate {
 		now = time.Now
 	}
 	g := &Gate{
-		cfg:        cfg,
-		now:        now,
-		epInflight: make(map[string]*atomic.Int64),
+		cfg: cfg,
+		now: now,
 		admitted: reg.Counter("css_overload_admitted_total",
 			"Requests admitted by the overload gate, by priority.", "priority"),
 		shed: reg.Counter("css_overload_shed_total",
@@ -179,25 +158,9 @@ func NewGate(cfg Config) *Gate {
 			"Duration of the last graceful drain, in seconds."),
 	}
 	if cfg.ActorRPS > 0 {
-		g.actors = newBucketTable(cfg.ActorRPS, cfg.ActorBurst, now)
+		g.actors = newBucketTable(cfg.ActorRPS, max(2*cfg.ActorRPS, 1), now)
 	}
 	return g
-}
-
-// endpointCounter returns the in-flight counter of an endpoint with a
-// configured limit, nil otherwise.
-func (g *Gate) endpointCounter(endpoint string) *atomic.Int64 {
-	if _, ok := g.cfg.Endpoint[endpoint]; !ok {
-		return nil
-	}
-	g.epMu.Lock()
-	defer g.epMu.Unlock()
-	c, ok := g.epInflight[endpoint]
-	if !ok {
-		c = new(atomic.Int64)
-		g.epInflight[endpoint] = c
-	}
-	return c
 }
 
 // budgetFor returns the in-flight budget available to a priority class:
@@ -216,16 +179,15 @@ func (g *Gate) budgetFor(pri Priority) int64 {
 }
 
 // Admit runs the admission checks for one request: draining state, the
-// per-actor token bucket, the endpoint concurrency limit, and the
-// priority-graded global budget. On admission the returned release must
+// per-actor token bucket, and the priority-graded global budget. On admission the returned release must
 // be called exactly once when the request completes; on shed it is nil.
 //
 // actor keys the rate limit (token subject, or remote host when the
 // deployment runs unauthenticated); an empty actor skips rate limiting.
-func (g *Gate) Admit(endpoint string, pri Priority, actor string) (release func(), d Decision) {
+func (g *Gate) Admit(pri Priority, actor string) (release func(), d Decision) {
 	shed := func(reason string) (func(), Decision) {
 		g.shed.Inc(pri.String(), reason)
-		return nil, Decision{Reason: reason, RetryAfter: g.cfg.RetryAfter}
+		return nil, Decision{Reason: reason, RetryAfter: DefaultRetryAfter}
 	}
 	if g.draining.Load() {
 		return shed(ReasonDraining)
@@ -233,22 +195,9 @@ func (g *Gate) Admit(endpoint string, pri Priority, actor string) (release func(
 	if g.actors != nil && actor != "" && !g.actors.take(actor) {
 		return shed(ReasonRate)
 	}
-
-	// Endpoint limit first (cheap: one atomic), then the global budget.
-	var epCount *atomic.Int64
-	if epCount = g.endpointCounter(endpoint); epCount != nil {
-		limit := int64(g.cfg.Endpoint[endpoint])
-		if epCount.Add(1) > limit {
-			epCount.Add(-1)
-			return shed(ReasonConcurrency)
-		}
-	}
 	if g.cfg.MaxInFlight > 0 {
 		if g.inflight.Add(1) > g.budgetFor(pri) {
 			g.inflight.Add(-1)
-			if epCount != nil {
-				epCount.Add(-1)
-			}
 			return shed(ReasonPressure)
 		}
 	} else {
@@ -261,9 +210,6 @@ func (g *Gate) Admit(endpoint string, pri Priority, actor string) (release func(
 	return func() {
 		once.Do(func() {
 			g.inflight.Add(-1)
-			if epCount != nil {
-				epCount.Add(-1)
-			}
 			g.inflightG.Set(float64(g.inflight.Load()))
 		})
 	}, Decision{Admitted: true}

@@ -11,12 +11,12 @@ import (
 )
 
 // admit is a test helper asserting the admission outcome.
-func admit(t *testing.T, g *Gate, endpoint string, pri Priority, actor string, want bool) func() {
+func admit(t *testing.T, g *Gate, pri Priority, actor string, want bool) func() {
 	t.Helper()
-	release, d := g.Admit(endpoint, pri, actor)
+	release, d := g.Admit(pri, actor)
 	if d.Admitted != want {
-		t.Fatalf("Admit(%s, %s, %q) = %v (reason %s), want admitted=%v",
-			endpoint, pri, actor, d.Admitted, d.Reason, want)
+		t.Fatalf("Admit(%s, %q) = %v (reason %s), want admitted=%v",
+			pri, actor, d.Admitted, d.Reason, want)
 	}
 	if d.Admitted && release == nil {
 		t.Fatal("admitted without a release func")
@@ -33,74 +33,60 @@ func TestPrioritySheddingOrder(t *testing.T) {
 	var releases []func()
 	hold := func(n int, pri Priority) {
 		for i := 0; i < n; i++ {
-			releases = append(releases, admit(t, g, "ep", pri, "", true))
+			releases = append(releases, admit(t, g, pri, "", true))
 		}
 	}
 	hold(5, Critical)
-	if _, d := g.Admit("ep", Low, ""); d.Admitted || d.Reason != ReasonPressure {
+	if _, d := g.Admit(Low, ""); d.Admitted || d.Reason != ReasonPressure {
 		t.Fatalf("low admitted at 50%% pressure: %+v", d)
 	}
-	admit(t, g, "ep", Normal, "", true) // 6 in flight
-	hold(2, Critical)                   // 8 in flight
-	if _, d := g.Admit("ep", Normal, ""); d.Admitted || d.Reason != ReasonPressure {
+	admit(t, g, Normal, "", true) // 6 in flight
+	hold(2, Critical)             // 8 in flight
+	if _, d := g.Admit(Normal, ""); d.Admitted || d.Reason != ReasonPressure {
 		t.Fatalf("normal admitted at 80%% pressure: %+v", d)
 	}
 	hold(2, Critical) // 10 in flight: budget exhausted
-	if _, d := g.Admit("ep", Critical, ""); d.Admitted || d.Reason != ReasonPressure {
+	if _, d := g.Admit(Critical, ""); d.Admitted || d.Reason != ReasonPressure {
 		t.Fatalf("critical admitted past the budget: %+v", d)
 	}
 	for _, r := range releases {
 		r()
 	}
 	// Fully drained: even Low is admitted again.
-	admit(t, g, "ep", Low, "", true)
-}
-
-func TestEndpointConcurrencyLimit(t *testing.T) {
-	g := NewGate(Config{MaxInFlight: 100, ActorRPS: -1,
-		Endpoint: map[string]int{"details": 2}})
-	r1 := admit(t, g, "details", Normal, "", true)
-	r2 := admit(t, g, "details", Normal, "", true)
-	if _, d := g.Admit("details", Normal, ""); d.Admitted || d.Reason != ReasonConcurrency {
-		t.Fatalf("third details admitted: %+v", d)
-	}
-	// Other endpoints are unaffected.
-	admit(t, g, "publish", Critical, "", true)
-	r1()
-	admit(t, g, "details", Normal, "", true)
-	r2()
+	admit(t, g, Low, "", true)
 }
 
 func TestActorRateLimit(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	g := NewGate(Config{MaxInFlight: -1, ActorRPS: 10, ActorBurst: 3, Now: clock})
-	for i := 0; i < 3; i++ {
-		admit(t, g, "ep", Normal, "flooder", true)()
+	// 2 tokens/s: the derived burst is 2×ActorRPS = 4.
+	g := NewGate(Config{MaxInFlight: -1, ActorRPS: 2, Now: clock})
+	for i := 0; i < 4; i++ {
+		admit(t, g, Normal, "flooder", true)()
 	}
-	if _, d := g.Admit("ep", Normal, "flooder"); d.Admitted || d.Reason != ReasonRate {
+	if _, d := g.Admit(Normal, "flooder"); d.Admitted || d.Reason != ReasonRate {
 		t.Fatalf("flooder admitted past its burst: %+v", d)
 	}
 	// A different actor has its own bucket.
-	admit(t, g, "ep", Normal, "other", true)()
-	// Refill: 10 tokens/s ⇒ 100ms buys one more admission.
-	now = now.Add(100 * time.Millisecond)
-	admit(t, g, "ep", Normal, "flooder", true)()
-	if _, d := g.Admit("ep", Normal, "flooder"); d.Admitted {
+	admit(t, g, Normal, "other", true)()
+	// Refill: 2 tokens/s ⇒ 500ms buys one more admission.
+	now = now.Add(500 * time.Millisecond)
+	admit(t, g, Normal, "flooder", true)()
+	if _, d := g.Admit(Normal, "flooder"); d.Admitted {
 		t.Fatal("flooder got two tokens from a one-token refill")
 	}
 	// An empty actor key skips rate limiting entirely.
-	admit(t, g, "ep", Normal, "", true)()
+	admit(t, g, Normal, "", true)()
 }
 
 func TestDrainingShedsEverything(t *testing.T) {
 	g := NewGate(Config{MaxInFlight: 10, ActorRPS: -1})
-	release := admit(t, g, "ep", Critical, "", true)
+	release := admit(t, g, Critical, "", true)
 	g.BeginDrain()
 	if !g.Draining() {
 		t.Fatal("Draining() = false after BeginDrain")
 	}
-	if _, d := g.Admit("ep", Critical, ""); d.Admitted || d.Reason != ReasonDraining {
+	if _, d := g.Admit(Critical, ""); d.Admitted || d.Reason != ReasonDraining {
 		t.Fatalf("admitted while draining: %+v", d)
 	}
 	// In-flight work still releases cleanly.
@@ -112,7 +98,7 @@ func TestDrainingShedsEverything(t *testing.T) {
 
 func TestReleaseIdempotent(t *testing.T) {
 	g := NewGate(Config{MaxInFlight: 10, ActorRPS: -1})
-	release := admit(t, g, "ep", Normal, "", true)
+	release := admit(t, g, Normal, "", true)
 	release()
 	release() // double release must not underflow the budget
 	if got := g.InFlight(); got != 0 {
@@ -123,8 +109,8 @@ func TestReleaseIdempotent(t *testing.T) {
 func TestMetricsRecorded(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g := NewGate(Config{MaxInFlight: 1, ActorRPS: -1, Metrics: reg})
-	release := admit(t, g, "ep", Critical, "", true)
-	g.Admit("ep", Low, "") // shed: pressure
+	release := admit(t, g, Critical, "", true)
+	g.Admit(Low, "") // shed: pressure
 	release()
 	if v := g.admitted.Value("critical"); v != 1 {
 		t.Fatalf("admitted{critical} = %d", v)
@@ -182,7 +168,7 @@ func TestAdmitConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				release, d := g.Admit("ep", Critical, "")
+				release, d := g.Admit(Critical, "")
 				if d.Admitted {
 					release()
 				}

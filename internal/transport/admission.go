@@ -10,13 +10,11 @@ import (
 	"repro/internal/overload"
 )
 
-// routeClass is the admission profile of one endpoint family: its gate
-// endpoint key (per-endpoint concurrency limits are configured against
-// it), its shedding priority, and its default deadline, installed on the
-// request context so it propagates through the controller into PDP
-// evaluation and gateway fetches.
+// routeClass is the admission profile of one endpoint family: its
+// shedding priority and its default deadline, installed on the request
+// context so it propagates through the controller into PDP evaluation
+// and gateway fetches.
 type routeClass struct {
-	endpoint string
 	pri      overload.Priority
 	deadline time.Duration
 }
@@ -24,24 +22,23 @@ type routeClass struct {
 // routeClassFor classifies a request path for admission. Priorities
 // implement the paper's availability ordering under pressure: accepting
 // notification publications (the system of record for events) outranks
-// serving detail reads, which outrank speculative prefetches and
-// browse-style queries.
+// serving detail reads, which outrank browse-style queries.
 func routeClassFor(path string) routeClass {
 	switch path {
 	case "/ws/publish":
-		return routeClass{endpoint: "publish", pri: overload.Critical, deadline: 5 * time.Second}
+		return routeClass{pri: overload.Critical, deadline: 5 * time.Second}
 	case "/ws/details":
-		return routeClass{endpoint: "details", pri: overload.Normal, deadline: 10 * time.Second}
+		return routeClass{pri: overload.Normal, deadline: 10 * time.Second}
 	case "/ws/subscribe", "/ws/policy", "/ws/consent":
 		// Control-plane mutations: small, rare, and load-bearing for
 		// correctness (revocations must land even under pressure).
-		return routeClass{endpoint: "control", pri: overload.Critical, deadline: 5 * time.Second}
+		return routeClass{pri: overload.Critical, deadline: 5 * time.Second}
 	case "/ws/inquire":
-		return routeClass{endpoint: "inquire", pri: overload.Low, deadline: 10 * time.Second}
+		return routeClass{pri: overload.Low, deadline: 10 * time.Second}
 	default:
 		// Catalog, pending, stats, audit, policies, subscription probes:
 		// browse-style reads, first to shed.
-		return routeClass{endpoint: "query", pri: overload.Low, deadline: 5 * time.Second}
+		return routeClass{pri: overload.Low, deadline: 5 * time.Second}
 	}
 }
 
@@ -84,11 +81,11 @@ func (s *Server) SetAdmission(g *overload.Gate) *Server {
 func gwRouteClassFor(path string) routeClass {
 	switch path {
 	case "/gw/publish", "/gw/persist":
-		return routeClass{endpoint: "gw-write", pri: overload.Critical, deadline: 5 * time.Second}
+		return routeClass{pri: overload.Critical, deadline: 5 * time.Second}
 	case "/gw/get-response":
-		return routeClass{endpoint: "gw-details", pri: overload.Normal, deadline: 10 * time.Second}
+		return routeClass{pri: overload.Normal, deadline: 10 * time.Second}
 	default:
-		return routeClass{endpoint: "gw-query", pri: overload.Low, deadline: 5 * time.Second}
+		return routeClass{pri: overload.Low, deadline: 5 * time.Second}
 	}
 }
 
@@ -105,7 +102,7 @@ func withGate(gate func() *overload.Gate, classify func(string) routeClass, next
 			return
 		}
 		rc := classify(r.URL.Path)
-		release, d := g.Admit(rc.endpoint, rc.pri, actorKey(r))
+		release, d := g.Admit(rc.pri, actorKey(r))
 		if !d.Admitted {
 			w.Header().Set("Retry-After", overload.RetryAfterSeconds(d.RetryAfter))
 			writeXML(w, http.StatusTooManyRequests, &Fault{

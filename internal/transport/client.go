@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -284,46 +283,6 @@ func (c *Client) Publish(ctx context.Context, n *event.Notification) (event.Glob
 		return "", err
 	}
 	return gid, nil
-}
-
-// PublishBatch publishes the notifications concurrently over the
-// client's keep-alive connection pool — the request-pipelining form of
-// Publish for producers with a backlog (the saturation benchmark, the
-// outbox drain). Results are positional: ids[i] answers ns[i], and a
-// failed publish leaves its id empty with the first error returned
-// after every in-flight request settles. conns bounds the concurrent
-// requests (0 means 8, matched to the tuned transport's per-host pool).
-func (c *Client) PublishBatch(ctx context.Context, ns []*event.Notification, conns int) ([]event.GlobalID, error) {
-	if conns <= 0 {
-		conns = 8
-	}
-	if conns > len(ns) {
-		conns = len(ns)
-	}
-	ids := make([]event.GlobalID, len(ns))
-	errs := make([]error, len(ns))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				ids[i], errs[i] = c.Publish(ctx, ns[i])
-			}
-		}()
-	}
-	for i := range ns {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ids, err
-		}
-	}
-	return ids, nil
 }
 
 // Subscribe registers a callback URL for the notifications of a class and

@@ -424,7 +424,7 @@ func TestChaosOverloadStorm(t *testing.T) {
 			case <-time.After(15 * time.Second):
 				t.Fatal("storm producers still blocked after drain; requests are hanging")
 			}
-			if _, d := r.gate.Admit("publish", overload.Critical, "late"); d.Admitted {
+			if _, d := r.gate.Admit(overload.Critical, "late"); d.Admitted {
 				t.Fatal("gate admitted a request after drain began")
 			}
 		})
