@@ -3,7 +3,7 @@
 GO ?= go
 BENCH_LABEL ?= local
 
-.PHONY: all check build vet test race cover bench bench-publish bench-details bench-smoke bench-gate bench-baseline bench-sharded bench-tables bench-quick chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz clean
+.PHONY: all check build vet test race cover bench bench-publish bench-details bench-smoke bench-gate bench-baseline bench-sharded bench-tables chaos chaos-smoke overload-smoke shard-smoke repl-smoke trace-smoke lint-traceid lint-hotpath examples fuzz clean
 
 all: check
 
@@ -11,9 +11,9 @@ all: check
 # tests, the race detector over the whole tree, a short fault-injected
 # smoke, an overload-storm smoke, the distributed-tracing smoke (one
 # flow across three processes must yield one parent-linked span tree;
-# also runs the mixed-codec fan-out check), a 1-iteration smoke of the
-# publish-path benchmarks (catches benchmarks broken by refactors
-# without the cost of a measured run), the allocation-regression
+# also runs the mixed-codec fan-out check), a 1-iteration smoke of
+# every benchmark (catches benchmarks broken by refactors without the
+# cost of a measured run), the allocation-regression
 # gate over the E1 publish benchmarks, the 3-shard cluster smoke
 # (cross-shard publish/inquire plus one live split), and the
 # replication failover smoke (1 primary + 2 replica processes, kill
@@ -36,28 +36,30 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Measured micro-benchmark runs, 5 samples each, appended as labeled
-# runs to the JSON logs: `make bench BENCH_LABEL=after-my-change`.
-# Publish path (E1* fan-out/routing, E5 index, E6 audit, E14 WAL) goes
-# to BENCH_publish.json; the details read path (E2 end-to-end, ED_*
-# repeated/rotating/churn request shapes) goes to BENCH_details.json.
+# Measured benchmark runs, 5 samples each, appended as labeled runs to
+# the JSON logs: `make bench BENCH_LABEL=after-my-change`. Together the
+# two suites produce every timing number in EXPERIMENTS.md. The publish
+# and storage side (E1 publish/fan-out/saturation/sharding/replication,
+# E5 index, E6 audit, E8 inquiry, E10-E16) goes to BENCH_publish.json;
+# the details read path (E2 end-to-end with its stage split, E3 PDP,
+# ED_* request shapes) goes to BENCH_details.json.
 bench: bench-publish bench-details
 
 bench-publish:
-	$(GO) test -run '^$$' -bench 'E1|E5|E6' -benchmem -count 5 . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	$(GO) test -run '^$$' -bench 'E1[0-9]*_|E5_|E6_|E8_' -benchmem -count 5 . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	@cat bench.out
 	$(GO) run ./cmd/css-benchlog -label "$(BENCH_LABEL)" -out BENCH_publish.json < bench.out
 	@rm -f bench.out
 
 bench-details:
-	$(GO) test -run '^$$' -bench 'E2_|ED_' -benchmem -count 5 . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	$(GO) test -run '^$$' -bench 'E2_|E3_|ED_' -benchmem -count 5 . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	@cat bench.out
 	$(GO) run ./cmd/css-benchlog -label "$(BENCH_LABEL)" -out BENCH_details.json < bench.out
 	@rm -f bench.out
 
-# One iteration of both suites, as a compile-and-run smoke.
+# One iteration of every benchmark, as a compile-and-run smoke.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'E1|E2_|E5|E6|ED_' -benchtime 1x -benchmem . > /dev/null
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . > /dev/null
 
 # Allocation-regression gate: allocs/op of the E1 publish benchmarks
 # must stay within 5% of the committed BENCH_baseline.json. Allocation
@@ -96,12 +98,10 @@ bench-sharded:
 	$(GO) run ./cmd/css-benchlog -label "$(BENCH_LABEL)" -out BENCH_publish.json < bench.out
 	@rm -f bench.out
 
-# Full experiment tables (EXPERIMENTS.md reference run). ~2 minutes.
+# The non-timing characterization tables of EXPERIMENTS.md (bytes
+# exposed, fields delivered, artifacts, outcomes). A few seconds.
 bench-tables:
 	$(GO) run ./cmd/css-bench
-
-bench-quick:
-	$(GO) run ./cmd/css-bench -quick
 
 # Fault-injected integration suite under the race detector: 20%
 # connection failures on the consumer/producer hop, 10% on the
@@ -180,10 +180,6 @@ lint-hotpath:
 		echo "hot-path files must not use fmt.Sprintf or encoding/xml:"; \
 		echo "$$bad"; exit 1; \
 	fi
-
-# testing.B micro-benchmarks, one per experiment.
-microbench:
-	$(GO) test -bench=. -benchmem .
 
 examples:
 	@for e in quickstart homecare statistics audittrail distributed phr monitoring accountability; do \

@@ -8,7 +8,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/metrics"
 	"repro/internal/schema"
 	"repro/internal/workload"
 )
@@ -53,13 +52,13 @@ func sensitiveFieldsByClass() map[event.ClassID]map[event.FieldName]bool {
 // protocol and the one-phase baselines (full-document point-to-point and
 // centralized warehouse), sweeping the fraction of events whose details
 // the consumer actually requests.
-func runE4(quick bool) {
-	events := pick(quick, 500, 5000)
+func runE4() {
+	const events = 5000
 	rates := []float64{0.01, 0.05, 0.20, 1.00}
 	const fanout = 3 // interested parties per event in the baselines
 	sensitiveOf := sensitiveFieldsByClass()
 
-	tbl := metrics.NewTable("approach", "detail-rate", "payload bytes moved", "sensitive bytes exposed", "vs CSS sensitive")
+	tbl := newTable("approach", "detail-rate", "payload bytes moved", "sensitive bytes exposed", "vs CSS sensitive")
 	for _, rate := range rates {
 		// --- CSS two-phase ---------------------------------------------
 		ctrl, platform := scenarioPlatform()
@@ -155,8 +154,8 @@ func runE4(quick bool) {
 
 // runE7 quantifies the minimal-usage claim: how well three policy
 // regimes deliver exactly the fields each consumer task needs.
-func runE7(quick bool) {
-	events := pick(quick, 300, 2000)
+func runE7() {
+	const events = 2000
 
 	// Task: the statistics department needs {age, sex, autonomy-score} of
 	// autonomy tests — nothing more (the Definition 2 example).
@@ -187,7 +186,7 @@ func runE7(quick bool) {
 		details[i] = d
 	}
 
-	tbl := metrics.NewTable("regime", "needed coverage %", "excess fields/event", "excess bytes/event", "task feasible")
+	tbl := newTable("regime", "needed coverage %", "excess fields/event", "excess bytes/event", "task feasible")
 	for _, r := range regimes {
 		var covered, excessFields, excessBytes int
 		for _, d := range details {
@@ -218,9 +217,9 @@ func runE7(quick bool) {
 
 // runE9 reproduces the onboarding-cost claim: integration artifacts for
 // N institutions, point-to-point versus through the data controller hub.
-func runE9(quick bool) {
+func runE9() {
 	sizes := []int{2, 4, 8, 16, 32, 64}
-	tbl := metrics.NewTable("institutions (P=C)", "p2p artifacts", "hub artifacts", "ratio")
+	tbl := newTable("institutions (P=C)", "p2p artifacts", "hub artifacts", "ratio")
 	for _, n := range sizes {
 		p2p, hub := baseline.ArtifactCount(n, n)
 		tbl.Row(2*n, p2p, hub, float64(p2p)/float64(hub))

@@ -3,26 +3,22 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/gateway"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/schema"
 	"repro/internal/store"
-	"repro/internal/workload"
-	"repro/internal/xacml"
 )
 
 // runE10 demonstrates temporal decoupling: details stay retrievable from
 // the local cooperation gateway months after publication, across producer
 // restarts, with outcomes governed by the policies' validity windows.
-func runE10(quick bool) {
-	events := pick(quick, 50, 500)
+func runE10() {
+	const events = 500
 	dir, err := os.MkdirTemp("", "css-e10-*")
 	if err != nil {
 		log.Fatal(err)
@@ -102,7 +98,7 @@ func runE10(quick bool) {
 	// Simulate by restarting the whole producer side (close + reopen).
 	gwStore.Close()
 
-	tbl := metrics.NewTable("request lag", "requester", "success", "denied (contract)", "retrieval mean")
+	tbl := newTable("request lag", "requester", "success", "denied (contract)")
 	for _, lag := range []struct {
 		name string
 		d    time.Duration
@@ -133,22 +129,19 @@ func runE10(quick bool) {
 			{"family-doctor", event.PurposeHealthcareTreatment},
 			{"caring-coop", event.PurposeSocialAssistance},
 		} {
-			lat := metrics.NewHistogram()
 			ok, denied := 0, 0
 			for _, gid := range gids {
-				start := time.Now()
 				_, err := ctrl.RequestDetails(&event.DetailRequest{
 					Requester: who.actor, Class: schema.ClassBloodTest,
 					EventID: gid, Purpose: who.purpose,
 				})
-				lat.Record(time.Since(start))
 				if err != nil {
 					denied++
 				} else {
 					ok++
 				}
 			}
-			tbl.Row(lag.name, who.actor, ok, denied, lat.Mean())
+			tbl.Row(lag.name, who.actor, ok, denied)
 		}
 		st.Close()
 	}
@@ -165,159 +158,4 @@ func benchKeyringMaster() []byte {
 		key[i] = byte(i * 7)
 	}
 	return key
-}
-
-// runE11 measures subscription authorization throughput: the §5.2
-// deny-by-default decision over a mixed granted/ungranted population.
-func runE11(quick bool) {
-	attempts := pick(quick, 500, 2000)
-
-	tbl := metrics.NewTable("policies", "granted subs/s", "denied subs/s", "grant ratio")
-	for _, nPolicies := range pick(quick, []int{10, 1000}, []int{10, 100, 1000, 10000}) {
-		ctrl, err := core.New(core.Config{DefaultConsent: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := ctrl.RegisterProducer("hospital", "H"); err != nil {
-			log.Fatal(err)
-		}
-		if err := ctrl.DeclareClass("hospital", schema.BloodTest()); err != nil {
-			log.Fatal(err)
-		}
-		if err := ctrl.RegisterConsumer("org", "Org"); err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < nPolicies; i++ {
-			if _, err := ctrl.DefinePolicy(&policy.Policy{
-				Producer: "hospital",
-				Actor:    event.Actor(fmt.Sprintf("org/dept-%06d", i)),
-				Class:    schema.ClassBloodTest,
-				Purposes: []event.Purpose{event.PurposeHealthcareTreatment},
-				Fields:   []event.FieldName{"patient-id"},
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-
-		grantStart := time.Now()
-		granted := 0
-		for i := 0; i < attempts; i++ {
-			actor := event.Actor(fmt.Sprintf("org/dept-%06d", i%nPolicies))
-			sub, err := ctrl.Subscribe(actor, schema.ClassBloodTest, func(*event.Notification) {})
-			if err == nil {
-				granted++
-				sub.Cancel()
-			}
-		}
-		grantElapsed := time.Since(grantStart)
-
-		denyStart := time.Now()
-		denied := 0
-		for i := 0; i < attempts; i++ {
-			actor := event.Actor(fmt.Sprintf("org/ungranted-%06d", i))
-			if _, err := ctrl.Subscribe(actor, schema.ClassBloodTest, func(*event.Notification) {}); err != nil {
-				denied++
-			}
-		}
-		denyElapsed := time.Since(denyStart)
-		ctrl.Close()
-
-		tbl.Row(nPolicies,
-			metrics.Rate(granted, grantElapsed),
-			metrics.Rate(denied, denyElapsed),
-			fmt.Sprintf("%d/%d", granted, attempts))
-	}
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: both decisions scan the class's policy list; denial costs the full")
-	fmt.Println("scan, so deny-by-default is the slower path — and still thousands/sec.")
-}
-
-// runE12 measures the elicitation pipeline: compile throughput, XML
-// round-trip, and the equivalence rate between native Definition-3
-// matching and compiled-XACML evaluation over randomized policies.
-func runE12(quick bool) {
-	nPolicies := pick(quick, 2000, 20000)
-	checks := pick(quick, 2000, 20000)
-
-	// Compile + XML round-trip throughput over the standard policy set
-	// shapes, randomized.
-	rnd := rand.New(rand.NewSource(12))
-	domain := schema.Domain()
-	consumers := workload.Consumers()
-	purposes := []event.Purpose{
-		event.PurposeHealthcareTreatment, event.PurposeStatisticalAnalysis,
-		event.PurposeAdministration, event.PurposeSocialAssistance,
-	}
-	randPolicy := func(i int) *policy.Policy {
-		s := domain[rnd.Intn(len(domain))]
-		fields := s.FieldNames()
-		k := 1 + rnd.Intn(len(fields))
-		return &policy.Policy{
-			ID:       policy.ID(fmt.Sprintf("p-%06d", i)),
-			Producer: "prod",
-			Actor:    consumers[rnd.Intn(len(consumers))].Actor,
-			Class:    s.Class(),
-			Purposes: []event.Purpose{purposes[rnd.Intn(len(purposes))]},
-			Fields:   fields[:k],
-		}
-	}
-
-	compileStart := time.Now()
-	policies := make([]*policy.Policy, nPolicies)
-	compiled := make([]*xacml.Policy, nPolicies)
-	for i := range policies {
-		policies[i] = randPolicy(i)
-		x, err := xacml.Compile(policies[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		compiled[i] = x
-	}
-	compileElapsed := time.Since(compileStart)
-
-	xmlStart := time.Now()
-	roundTripOK := 0
-	for _, x := range compiled {
-		data, err := xacml.Encode(x)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := xacml.Decode(data); err == nil {
-			roundTripOK++
-		}
-	}
-	xmlElapsed := time.Since(xmlStart)
-
-	// Equivalence: native Matches vs compiled evaluation on random
-	// requests.
-	agree := 0
-	for i := 0; i < checks; i++ {
-		p := policies[rnd.Intn(len(policies))]
-		pdp, _ := xacml.NewPDP(xacml.FirstApplicable)
-		_ = pdp
-		req := &event.DetailRequest{
-			Requester: consumers[rnd.Intn(len(consumers))].Actor,
-			Class:     domain[rnd.Intn(len(domain))].Class(),
-			EventID:   "evt-x",
-			Purpose:   purposes[rnd.Intn(len(purposes))],
-			At:        time.Date(2010, 6, 1, 0, 0, 0, 0, time.UTC),
-		}
-		d, _ := xacml.NewPDP(xacml.FirstApplicable)
-		x, _ := xacml.Compile(p)
-		d.Add(x)
-		resp := d.Evaluate(xacml.CompileRequest(req))
-		if p.Matches(req) == (resp.Decision == xacml.Permit) {
-			agree++
-		}
-	}
-
-	tbl := metrics.NewTable("metric", "value")
-	tbl.Row("policies compiled", nPolicies)
-	tbl.Row("compile k-pol/s", metrics.Rate(nPolicies, compileElapsed)/1000)
-	tbl.Row("XACML XML round-trip k-pol/s", metrics.Rate(nPolicies, xmlElapsed)/1000)
-	tbl.Row("round-trip success", fmt.Sprintf("%d/%d", roundTripOK, nPolicies))
-	tbl.Row("native vs XACML agreement", fmt.Sprintf("%d/%d (%.2f%%)", agree, checks, 100*float64(agree)/float64(checks)))
-	tbl.Write(os.Stdout)
-	fmt.Println("shape: compilation and serialization are bulk operations (thousands/sec);")
-	fmt.Println("agreement must be 100% — the elicited rule IS the enforced rule.")
 }

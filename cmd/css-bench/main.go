@@ -1,12 +1,15 @@
-// css-bench regenerates every experiment in EXPERIMENTS.md: the paper
-// (an industrial experience report) publishes no quantitative tables, so
-// each of its figures and prose claims is mapped to a characterization
-// experiment (see DESIGN.md §5). The harness prints one table per
-// experiment; EXPERIMENTS.md records a reference run.
+// css-bench prints the non-timing characterization tables of
+// EXPERIMENTS.md. The paper (an industrial experience report) publishes
+// no quantitative tables, so each of its figures and prose claims is
+// mapped to an experiment (see DESIGN.md §5). The tables here count
+// what a claim is about: sensitive bytes exposed, fields delivered,
+// integration artifacts, retrieval outcomes, detected care gaps and
+// report rows. Every timing number comes from the Benchmark functions
+// in bench_test.go (`make bench`).
 //
 // Usage:
 //
-//	css-bench [-exp e1|e2|...|e12|all] [-quick]
+//	css-bench [-exp id[,id...]|all]
 package main
 
 import (
@@ -14,7 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -22,65 +25,41 @@ import (
 type experiment struct {
 	id    string
 	title string
-	run   func(q bool) // q: quick mode (smaller parameters)
+	run   func()
 }
 
 var experiments = []experiment{
-	{"e1", "Fig. 2 — pub/sub routing: publish throughput and delivery latency vs subscribers", runE1},
-	{"e2", "Fig. 4 / Algorithms 1-2 — detail request resolution with stage breakdown", runE2},
-	{"e3", "Fig. 8 — XACML PDP throughput vs policy repository size", runE3},
 	{"e4", "§1 claim — minimal usage: two-phase vs full-publication baselines", runE4},
-	{"e5", "§4 — encrypted events index vs plaintext baseline", runE5},
-	{"e6", "§4 — audit trail overhead and verification", runE6},
 	{"e7", "§1 claim — event-level policies vs all-or-nothing and over-constraining", runE7},
-	{"e8", "§4 — events index inquiry scaling", runE8},
 	{"e9", "§1 claim — onboarding cost: hub vs point-to-point", runE9},
 	{"e10", "§4 — temporal decoupling: detail retrieval months later, source offline", runE10},
-	{"e11", "§5.2 — subscription authorization (deny-by-default) throughput", runE11},
-	{"e12", "§5.1/§6 — elicitation → XACML compilation round trip", runE12},
 	{"e13", "ablation D3 — details at producer vs controller-side cache", runE13},
-	{"e14", "ablation — WAL durability modes and recovery", runE14},
 	{"e15", "§1 — process monitoring over the notification stream", runE15},
 	{"e16", "§2 — accountability aggregates for the governing body", runE16},
-	{"e18", "DESIGN §12 — sharded controller: publish scale-out across cluster widths", runE18},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e12) or 'all'")
-	quick := flag.Bool("quick", false, "smaller parameters for a fast pass")
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	known := strings.Join(ids, ",")
+	exp := flag.String("exp", "all", "comma-separated experiment ids ("+known+") or 'all'")
 	flag.Parse()
 
 	want := strings.Split(*exp, ",")
-	sort.Strings(want)
 	matched := 0
 	for _, e := range experiments {
-		if *exp != "all" && !contains(want, e.id) {
+		if *exp != "all" && !slices.Contains(want, e.id) {
 			continue
 		}
 		matched++
 		fmt.Printf("=== %s: %s ===\n", strings.ToUpper(e.id), e.title)
-		e.run(*quick)
+		e.run()
 		fmt.Println()
 	}
 	if matched == 0 {
-		log.Printf("no experiment matches %q; known: e1..e18, all", *exp)
+		log.Printf("no experiment matches %q; known: %s, all", *exp, known)
 		os.Exit(2)
 	}
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-// pick returns quick or full parameters.
-func pick[T any](quick bool, q, full T) T {
-	if quick {
-		return q
-	}
-	return full
 }

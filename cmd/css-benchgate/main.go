@@ -35,11 +35,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // baseline is the committed benchmark budget.
@@ -70,11 +72,8 @@ type ratePair struct {
 	MinCPU int `json:"minCPU,omitempty"`
 }
 
-// benchLine matches one -benchmem result line.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+\S+ ns/op\s+\S+ B/op\s+(\d+) allocs/op`)
-
-// rateLine matches a result line carrying the custom pub/s metric.
-var rateLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+.*?(\d+(?:\.\d+)?) pub/s`)
+// procSuffix is the -GOMAXPROCS suffix `go test` appends to names.
+var procSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed benchmark baseline")
@@ -82,29 +81,8 @@ func main() {
 	rates := flag.Bool("rates", false, "gate the baseline's ratePairs (same-run pub/s comparisons) instead of allocs/op")
 	flag.Parse()
 
-	allocs := map[string]int64{}
-	pubRate := map[string]float64{}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		line := sc.Text()
-		if m := benchLine.FindStringSubmatch(line); m != nil {
-			if n, err := strconv.ParseInt(m[2], 10, 64); err == nil {
-				// Keep the worst (highest) sample when -count produced several.
-				if prev, ok := allocs[m[1]]; !ok || n > prev {
-					allocs[m[1]] = n
-				}
-			}
-		}
-		if m := rateLine.FindStringSubmatch(line); m != nil {
-			if r, err := strconv.ParseFloat(m[2], 64); err == nil {
-				// Keep the worst (lowest) rate when -count produced several.
-				if prev, ok := pubRate[m[1]]; !ok || r < prev {
-					pubRate[m[1]] = r
-				}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	allocs, pubRate, err := readRun(os.Stdin)
+	if err != nil {
 		fatalf("read stdin: %v", err)
 	}
 
@@ -140,6 +118,42 @@ func main() {
 	if gateAllocs(base, allocs) {
 		os.Exit(1)
 	}
+}
+
+// readRun parses `go test -bench` output. A result line is the name,
+// the iteration count, then (value, unit) pairs: ns/op, any custom
+// metrics a benchmark reports (Go prints them before B/op), B/op and
+// allocs/op. Across -count samples it keeps each benchmark's worst:
+// the highest allocs/op and the lowest pub/s.
+func readRun(r io.Reader) (allocs map[string]int64, pubRate map[string]float64, err error) {
+	allocs, pubRate = map[string]int64{}, map[string]float64{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		name := procSuffix.ReplaceAllString(f[0], "")
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				// Not a result line, or a log line interleaved into one
+				// (test binaries share stdout with their loggers).
+				break
+			}
+			switch f[i+1] {
+			case "allocs/op":
+				if prev, ok := allocs[name]; !ok || int64(v) > prev {
+					allocs[name] = int64(v)
+				}
+			case "pub/s":
+				if prev, ok := pubRate[name]; !ok || v < prev {
+					pubRate[name] = v
+				}
+			}
+		}
+	}
+	return allocs, pubRate, sc.Err()
 }
 
 // gateAllocs checks the allocation budgets; true means failure.
